@@ -3,13 +3,17 @@
 Four subcommands: ``simulate`` (exact finite-time distribution with
 amplitudes), ``density`` (limit density on a grid), ``compare``
 (simulation scored against a limit law), and ``sweep`` (support
-half-width over a parameter grid).  Output is CSV or JSON; floats are
+half-width over a parameter grid).  ``simulate`` and ``compare`` evolve
+the walk with the exact momentum-space engine
+:func:`~qwalk.fourier.evolve_fourier` (O(t log t), ``t`` at most
+:data:`~qwalk.fourier.MAX_STEPS`).  Output is CSV or JSON; floats are
 written with 17 significant digits so files round-trip doubles
 losslessly, and identical invocations produce byte-identical files.
 
 Angles accept raw radians or exact tokens like ``pi/2``, ``-pi/4``,
-``3pi/4``.  Complex coin amplitudes are written ``re,im``.  A flat
-``key=value`` config file can supply any flag; explicit flags win.
+``3pi/4``, also as a separate argument (``--nu -pi/4``).  Complex coin
+amplitudes are written ``re,im``.  A flat ``key=value`` config file can
+supply any flag; explicit flags win.
 
 Exit codes: 0 success, 2 invalid parameters, 1 I/O failure.
 """
@@ -26,9 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .fourier import evolve_fourier
 from .harness import ComparisonReport, run_comparison
 from .limitlaw import LAW_KINDS, make_limit_law, support_halfwidth
-from .walk import VARIANTS, CoinSpinor, WalkParams, distribution, evolve
+from .walk import VARIANTS, CoinSpinor, WalkParams, distribution
 
 __all__ = [
     "main",
@@ -158,15 +163,15 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
             grid=_parse_grid(_require(options, "grid")),
         )
 
-    rho = float(_require(options, "rho"))
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    params = WalkParams(rho=rho, nu=parse_angle(_require(options, "nu")))
+    params = WalkParams(
+        rho=float(_require(options, "rho")),
+        nu=parse_angle(_require(options, "nu")),
+    )
     coin = CoinSpinor(
         a0=parse_complex(options.get("alpha", "1,0")),
         a1=parse_complex(options.get("beta", "0,0")),
     )
-    if abs(coin.norm_sq() - 1.0) > 1e-9:
+    if not abs(coin.norm_sq() - 1.0) <= 1e-9:
         raise ValueError("coin amplitudes must be normalised to 1 within 1e-9")
 
     variant = options.get("variant", "full")
@@ -204,8 +209,12 @@ def _csv_text(header: str, rows: list[str], meta: list[str] | None = None) -> st
 
 
 def cmd_simulate(cfg: RunConfig) -> str:
-    """Exact distribution and amplitudes after t steps, one row per site."""
-    state = evolve(cfg.coin, cfg.params, cfg.t, variant=cfg.variant)
+    """Exact distribution and amplitudes after t steps, one row per site.
+
+    Evolved by :func:`~qwalk.fourier.evolve_fourier`; the rows cover
+    ``[-t, t]``.
+    """
+    state = evolve_fourier(cfg.coin, cfg.params, cfg.t, variant=cfg.variant)
     probs = distribution(state).probs
     xs = state.positions()
     if cfg.format == "json":
@@ -411,8 +420,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -value`` as ``--flag=-value``.
+
+    argparse reads a separate token with a leading ``-`` as an option
+    unless it is a plain negative number, so ``--nu -pi/4`` and
+    ``--beta -0.6,0`` would be refused.  Every option but ``--help``
+    takes one value, and every option but ``-h`` starts with ``--``, so
+    a single-dash token other than ``-h`` after a long option is that
+    option's value.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (
+            token.startswith("--")
+            and "=" not in token
+            and not "--help".startswith(token)
+            and value.startswith("-")
+            and not value.startswith("--")
+            and value != "-h"
+        ):
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser().parse_args(_join_dash_values(argv))
     try:
         cfg = _make_config(args)
     except OSError as exc:

@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import COIN_BAL, COIN_RIGHT, PARAMS_CANONICAL, PARAMS_SPECIAL
 
-from qwalk import WalkParams, support_halfwidth
+from qwalk import WalkParams, distribution, evolve, support_halfwidth
 from qwalk.cli import main, parse_angle, parse_complex, report_from_dict
+from qwalk.fourier import MAX_STEPS
 
 CANON_FLAGS = ["--rho", "0.70710678118654757", "--nu", "pi/4"]
 BAL_FLAGS = [
@@ -121,6 +123,38 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert run_cli(*argv, "--out", first) == 0
     assert run_cli(*argv, "--out", second) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "params, coin, variant",
+    [
+        (PARAMS_CANONICAL, COIN_BAL, "full"),
+        (PARAMS_SPECIAL, COIN_BAL, "full"),
+        (WalkParams(0.5, 1.2), COIN_RIGHT, "cmv_only"),
+    ],
+)
+def test_simulate_matches_lattice_oracle(tmp_path, params, coin, variant):
+    t = 300
+    out = tmp_path / "sim.csv"
+    assert run_cli(
+        "simulate",
+        "--rho", repr(params.rho),
+        "--nu", repr(params.nu),
+        "--alpha", f"{coin.a0.real!r},{coin.a0.imag!r}",
+        "--beta", f"{coin.a1.real!r},{coin.a1.imag!r}",
+        "--variant", variant,
+        "--t", t,
+        "--out", out,
+    ) == 0
+    data = np.array(
+        [[float(v) for v in line.split(",")]
+         for line in out.read_text().splitlines()[1:]]
+    )
+    oracle = evolve(coin, params, t, variant=variant)
+    np.testing.assert_array_equal(data[:, 0], oracle.positions())
+    assert 0.5 * np.sum(np.abs(data[:, 1] - distribution(oracle).probs)) <= 1e-12
+    amps = data[:, 2:6:2] + 1j * data[:, 3:6:2]
+    np.testing.assert_allclose(amps, oracle.amps, rtol=0.0, atol=1e-12)
 
 
 # --------------------------------------------------------------- density
@@ -356,6 +390,50 @@ def test_invalid_coin_exits_2_without_output(tmp_path):
     )
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rho", "0.6", "--nu", "0.3", "--alpha", "nan,0"],
+        ["--rho", "0.6", "--nu", "0.3", "--alpha", "1,0", "--beta", "0,inf"],
+        ["--rho", "0.6", "--nu", "inf"],
+        ["--rho", "nan", "--nu", "0.3"],
+    ],
+)
+def test_non_finite_input_exits_2_without_output(tmp_path, flags):
+    out = tmp_path / "never.csv"
+    assert run_cli("simulate", *flags, "--t", 5, "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_step_count_over_cap_exits_2_without_output(tmp_path, command):
+    # refused before any array is built; never run a step count near the cap
+    out = tmp_path / "never.csv"
+    rc = run_cli(command, *CANON_FLAGS, "--t", MAX_STEPS + 1, "--out", out)
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, rest",
+    [
+        ("density", "--nu", "-pi/4", ["--rho", "0.6"]),
+        (
+            "simulate",
+            "--beta",
+            "-0.6,0",
+            ["--rho", "0.6", "--nu", "1.0", "--alpha", "0.8,0", "--t", "4"],
+        ),
+    ],
+)
+def test_negative_value_as_separate_argument(tmp_path, command, flag, value, rest):
+    joined = tmp_path / "joined.csv"
+    spaced = tmp_path / "spaced.csv"
+    assert run_cli(command, *rest, f"{flag}={value}", "--out", joined) == 0
+    assert run_cli(command, *rest, flag, value, "--out", spaced) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
 
 
 def test_missing_required_option_exits_2(tmp_path):

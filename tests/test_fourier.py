@@ -7,7 +7,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import COIN_BAL, COIN_GEN, COIN_RIGHT, PARAMS_CANONICAL, SQ2
+from conftest import (
+    COIN_BAL,
+    COIN_GEN,
+    COIN_RIGHT,
+    PARAMS_CANONICAL,
+    PARAMS_SPECIAL,
+    SQ2,
+)
 
 from qwalk import (
     CoinSpinor,
@@ -23,6 +30,7 @@ from qwalk import (
     phase_rotation,
     shifted_symbol,
 )
+from qwalk.fourier import MAX_STEPS
 
 
 def lattice_dft(state, k: float) -> np.ndarray:
@@ -265,7 +273,41 @@ def test_symbol_power_spectrum_is_degree_bounded():
 def test_evolve_fourier_rejects_bad_arguments():
     with pytest.raises(ValueError):
         evolve_fourier(COIN_BAL, PARAMS_CANONICAL, -2)
+    # refused before any array is built; never run a step count near the cap
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        evolve_fourier(COIN_BAL, PARAMS_CANONICAL, MAX_STEPS + 1)
     with pytest.raises(ValueError):
         evolve_fourier(COIN_BAL, PARAMS_CANONICAL, 3, variant="bogus")
     with pytest.raises(ValueError):
         evolve_fourier(CoinSpinor(1.0, 1.0), PARAMS_CANONICAL, 3)
+
+
+@pytest.mark.parametrize(
+    "params, coin, variant",
+    [
+        (WalkParams(0.85, -1.3), COIN_RIGHT, "full"),
+        (PARAMS_SPECIAL, COIN_BAL, "full"),
+        (WalkParams(0.5, 1.2), COIN_RIGHT, "cmv_only"),
+    ],
+)
+def test_evolve_fourier_matches_flushed_lattice_at_depth(params, coin, variant):
+    """At t = 3000 the engine and the flushed lattice agree to 1e-12 TV.
+
+    The special set and the swap-free walk each have momenta where the
+    eigenvalue gap closes; the engine must keep its eigenvalue phases
+    accurate next to them, since t multiplies any phase error.  The
+    lattice flushes amplitudes below 1e-150 to zero, so none of its
+    floats is subnormal, and its window stays [-t, t].
+    """
+    t = 3000
+    lattice = evolve(coin, params, t, variant=variant)
+    fourier = evolve_fourier(coin, params, t, variant=variant)
+    assert lattice.x_min == fourier.x_min == -t
+    assert lattice.amps.shape == fourier.amps.shape == (2 * t + 1, 2)
+    floats = np.abs(lattice.amps.view(np.float64))
+    assert not np.any((floats > 0.0) & (floats < np.finfo(np.float64).tiny))
+    tv = 0.5 * np.sum(
+        np.abs(distribution(lattice).probs - distribution(fourier).probs)
+    )
+    assert tv <= 1e-12
+

@@ -27,6 +27,7 @@ from qwalk import (
     run_comparison,
     support_halfwidth,
 )
+from qwalk.harness import _cdf_table
 
 
 def test_empirical_moment_zeroth_is_total_mass():
@@ -176,3 +177,26 @@ def test_regression_grid_weak_convergence(params, coin, variant, law_kind, n):
     }
     assert ks[500] < ks[100]
     assert ks[500] <= 0.05
+
+
+@pytest.mark.parametrize(
+    "params, coin, variant, law_kind, n", REGRESSION_GRID
+)
+def test_run_comparison_matches_lattice_oracle(params, coin, variant, law_kind, n):
+    """The report's probabilities equal the lattice stepper's to 1e-12 TV.
+
+    The grid covers the special set, whose gap-fallback nodes the
+    engine powers directly, and the swap-free walk.
+    """
+    t = 600
+    report = run_comparison(
+        params, coin, t, variant=variant, law_kind=law_kind, n=n
+    )
+    oracle = distribution(evolve(coin, params, t, variant=variant))
+    np.testing.assert_array_equal(report.positions, oracle.positions())
+    assert 0.5 * np.sum(np.abs(report.simulated - oracle.probs)) <= 1e-12
+
+
+def test_cdf_table_cache_is_bounded():
+    assert _cdf_table.cache_info().maxsize is not None
+

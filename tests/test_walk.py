@@ -43,10 +43,30 @@ def test_params_derived_quantities():
     assert params.alpha0 == pytest.approx(0.3 * np.exp(1.1j), abs=1e-15)
 
 
-@pytest.mark.parametrize("rho", [0.0, 1.0, -0.2, 1.5])
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.2, 1.5, math.nan, math.inf])
 def test_params_rho_out_of_range(rho):
     with pytest.raises(ValueError):
         WalkParams(rho=rho, nu=0.0)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_nu(nu):
+    with pytest.raises(ValueError, match="nu must be finite"):
+        WalkParams(rho=0.6, nu=nu)
+
+
+@pytest.mark.parametrize(
+    "a0, a1",
+    [
+        (math.nan, 0.0),
+        (1.0, complex(0.0, math.nan)),
+        (complex(math.inf, 0.0), 0.0),
+        (0.6, -math.inf),
+    ],
+)
+def test_coin_spinor_rejects_non_finite_amplitudes(a0, a1):
+    with pytest.raises(ValueError, match="must be finite"):
+        CoinSpinor(a0, a1)
 
 
 def test_coin_spinor_norm_and_array():
