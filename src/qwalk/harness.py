@@ -79,12 +79,12 @@ def _cdf_table(law: LimitLaw) -> tuple[np.ndarray, np.ndarray]:
     The grid is uniform in the substitution angle ``x = hi * sin(theta)``
     so nodes cluster at the support edges where the density diverges;
     per-panel CDF mass stays ~1e-4 even there, which bounds the
-    interpolation error of the Kolmogorov scan.
+    interpolation error of the Kolmogorov scan.  The integrand is the
+    law's density in the angle, finite at both end nodes.
     """
     theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _CDF_GRID_NODES)
     xs = law.support_hi * np.sin(theta)
-    integrand = law.density(xs) * law.support_hi * np.cos(theta)
-    cdf = cumulative_trapezoid(integrand, theta, initial=0.0)
+    cdf = cumulative_trapezoid(law.substituted_density(theta), theta, initial=0.0)
     return xs, cdf
 
 

@@ -29,8 +29,12 @@ Three law kinds are built by :func:`make_limit_law`:
 
 Densities diverge like an inverse square root at the support edges, so
 cdf/moment quadrature substitutes ``x = support_hi * sin(theta)``; the
-substituted integrand is analytic on the closed theta-interval and
-Gauss-Legendre converges geometrically.
+substituted integrand (:meth:`LimitLaw.substituted_density`) is finite
+on the closed theta-interval and is evaluated with the vanishing edge
+factor cancelled analytically, so it keeps its digits up to the edges.
+One composite Gauss-Legendre rule per law, 64 equal theta-panels of 16
+nodes, integrates it; equal panels keep the error local where the
+integrand varies fast, next to the special parameter set.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -64,7 +68,6 @@ __all__ = [
 
 LAW_KINDS = ("theorem1", "standard", "cmv_only")
 
-_QUAD_NODES = 2048
 _SPECTRAL_NODES = 4096
 # Radicand values below this are analytic zeros buried in rounding noise
 # (at the special parameter set one branch radicand is identically zero
@@ -72,6 +75,15 @@ _SPECTRAL_NODES = 4096
 # into 1e-8 density errors.
 _RADICAND_CLAMP = 1e-13
 _SPECIAL_PARAM_TOL = 1e-9
+
+_PANEL_EDGES = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65)
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = roots_legendre(16)
+
+
+def _panel_rule(lo: np.ndarray, hi: np.ndarray):
+    """Legendre nodes and weights on panels ``[lo[i], hi[i]]``, each ``(P, 16)``."""
+    half = 0.5 * (hi - lo)[:, None]
+    return lo[:, None] + half * (_LEGENDRE_NODES + 1.0), half * _LEGENDRE_WEIGHTS
 
 
 class OutOfSupportError(ValueError):
@@ -249,39 +261,88 @@ class LimitLaw:
             return float(out)
         return out
 
-    def cdf(self, x) -> float:
-        """Cumulative distribution at scalar ``x`` by endpoint-safe quadrature."""
-        if np.ndim(x) != 0:
-            return np.array([self.cdf(float(v)) for v in np.asarray(x)])
-        ratio = max(-1.0, min(1.0, float(x) / self.support_hi))
-        theta_hi = math.asin(ratio)
-        if theta_hi <= -0.5 * math.pi:
-            return 0.0
-        theta, weights = _mapped_legendre(-0.5 * math.pi, theta_hi)
+    def substituted_density(self, theta):
+        """Density in the edge angle: ``density(h* sin(theta)) * h* cos(theta)``.
+
+        Finite on the closed interval ``[-pi/2, pi/2]``, edges included,
+        where it equals ``(1 +- coeff*h*) / (pi sqrt(1 - h*^2))`` for every
+        kind.  The ``cos(theta)`` factor is cancelled analytically, so no
+        value near an edge loses digits to ``h*^2 - x^2``.
+        """
+        theta = np.asarray(theta, dtype=float)
+        hi = self.support_hi
+        xs = hi * np.sin(theta)
+        vals = (1.0 + self.coeff * xs) / (np.pi * (1.0 - np.square(xs)))
+        if self.kind == "theorem1":
+            return vals * _theorem1_radical_ratio(self.params, hi, hi * np.cos(theta))
+        return vals * math.sqrt(1.0 - hi * hi)
+
+    @cached_property
+    def _weighted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes ``x`` of the composite rule and integrand times weight there."""
+        theta, weights = _panel_rule(_PANEL_EDGES[:-1], _PANEL_EDGES[1:])
+        theta, weights = theta.ravel(), weights.ravel()
         xs = self.support_hi * np.sin(theta)
-        vals = self.density(xs) * self.support_hi * np.cos(theta)
-        return float(np.dot(weights, vals))
+        return xs, weights * self.substituted_density(theta)
+
+    def cdf(self, x):
+        """Cumulative distribution at ``x``, any shape; a float for scalar ``x``.
+
+        The query angles ``asin(x/h*)`` split the composite rule's panels;
+        one integrand call covers every sub-panel and a cumulative sum of
+        the sub-panel integrals is read back at each query.  The sums are
+        non-negative, so the result is monotone in ``x``; it is 0 for
+        ``x <= -h*``.
+        """
+        hi = self.support_hi
+        x_arr = np.asarray(x, dtype=float)
+        flat = x_arr.ravel()
+        # asin(x/h*) in half-angle form: rounding x/h* next to +-1 would
+        # move the angle by ~1e-8, this keeps it to ~1e-16.
+        tail = np.sqrt(np.maximum(hi - np.abs(flat), 0.0) / (2.0 * hi))
+        abs_theta = np.maximum(0.5 * np.pi - 2.0 * np.arcsin(tail), 0.0)
+        theta_q = np.copysign(abs_theta, flat)
+        points = np.concatenate((_PANEL_EDGES, theta_q))
+        order = np.argsort(points, kind="stable")
+        bounds = points[order]
+        theta, weights = _panel_rule(bounds[:-1], bounds[1:])
+        panels = np.sum(weights * self.substituted_density(theta), axis=1)
+        cum = np.concatenate(([0.0], np.cumsum(panels)))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        out = cum[rank[_PANEL_EDGES.size :]].reshape(x_arr.shape)
+        if x_arr.ndim == 0:
+            return float(out)
+        return out
 
     def moment(self, r: int) -> float:
         """r-th moment of the law, ``r >= 0``."""
         if r < 0:
             raise ValueError("moment order must be nonnegative")
-        theta, weights = _mapped_legendre(-0.5 * math.pi, 0.5 * math.pi)
-        xs = self.support_hi * np.sin(theta)
-        vals = xs**r * self.density(xs) * self.support_hi * np.cos(theta)
-        return float(np.dot(weights, vals))
+        xs, weighted = self._weighted_nodes
+        return float(np.dot(xs**r, weighted))
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(n: int):
-    nodes, weights = roots_legendre(n)
-    return nodes, weights
+def _theorem1_radical_ratio(params: WalkParams, hi: float, chord) -> np.ndarray:
+    """``(sqrt(eta+) + sqrt(eta-)) / (2 sqrt(H^2 - x^2))``, ``chord^2 = hi^2 - x^2``.
 
-
-def _mapped_legendre(lo: float, hi: float, n: int = _QUAD_NODES):
-    nodes, weights = _legendre_rule(n)
-    scale = 0.5 * (hi - lo)
-    return lo + scale * (nodes + 1.0), scale * weights
+    The support quartic factors as ``(hi^2 - x^2)(H^2 - x^2)`` with
+    ``H^2 = rho^2 rho0^2 / hi^2``.  Written with ``E = (1 - hi^2)(H^2 -
+    hi^2)``, the radicands' common edge value, both radicands and ``H^2 -
+    x^2`` are sums of non-cancelling terms in ``chord``, and the ratio
+    tends to ``sqrt(1 - hi^2)`` at the edge, special set included.
+    """
+    p = params.rho * params.rho0
+    edge = max(_radicand_given_root(hi * hi, 0.0, params, 1), 0.0)
+    chord_sq = np.square(chord)
+    outer = edge / (1.0 - hi * hi) + chord_sq
+    mean = edge + (1.0 - (p * math.cos(params.nu)) ** 2) * chord_sq
+    split = 2.0 * p * math.sin(params.nu) * chord * np.sqrt(outer)
+    total = 0.0
+    for eta in (mean + split, mean - split):
+        # Relative to the radicands' scale, which vanishes at the edge.
+        total = total + np.sqrt(np.where(eta < _RADICAND_CLAMP * mean, 0.0, eta))
+    return total / (2.0 * np.sqrt(outer))
 
 
 def _special_branch_index(params: WalkParams) -> int | None:

@@ -53,6 +53,21 @@ REGRESSION_GRID = (
 )
 
 
+def closed_form_cdf(x, half_width: float, coeff: float) -> np.ndarray:
+    """CDF of the density ``K (1 + c x) / (pi (1 - x^2) sqrt(a^2 - x^2))``.
+
+    This is the shape of the ``cmv_only`` and ``standard`` laws, with
+    ``a = half_width``, ``c = coeff`` and ``K = sqrt(1 - a^2)`` for unit
+    mass.  With ``s = sqrt(a^2 - x^2)`` and ``b = sqrt(1 - a^2)`` the
+    elementary antiderivative is ``1/2 + (atan2(b x, s) - c atan2(s, b)) / pi``.
+    """
+    a = half_width
+    b = math.sqrt(1.0 - a * a)
+    xs = np.clip(np.asarray(x, dtype=float), -a, a)
+    s = np.sqrt((a - xs) * (a + xs))
+    return 0.5 + (np.arctan2(b * xs, s) - coeff * np.arctan2(s, b)) / np.pi
+
+
 def _idx(x: int, c: int, span: int) -> int:
     """Interleaved basis index of (site, component) on [-span, span]."""
     return 2 * (x + span) + c

@@ -197,6 +197,18 @@ def test_run_comparison_matches_lattice_oracle(params, coin, variant, law_kind, 
     assert 0.5 * np.sum(np.abs(report.simulated - oracle.probs)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "params, coin, law_kind, n",
+    [(params, coin, kind, n) for params, coin, _, kind, n in REGRESSION_GRID]
+    + [(PARAMS_SPECIAL, COIN_BAL, "theorem1", 0)],
+)
+def test_cdf_table_ends_at_unit_mass(params, coin, law_kind, n):
+    """The table's end nodes carry the integrand's edge limits, not zero."""
+    _, cdf = _cdf_table(make_limit_law(law_kind, params, coin, n=n))
+    assert cdf[0] == 0.0
+    assert abs(cdf[-1] - 1.0) <= 1e-9
+
+
 def test_cdf_table_cache_is_bounded():
     assert _cdf_table.cache_info().maxsize is not None
 

@@ -13,7 +13,9 @@ from conftest import (
     PARAM_POINTS,
     PARAMS_SPECIAL,
     PARAMS_CANONICAL,
+    REGRESSION_GRID,
     SQ2,
+    closed_form_cdf,
 )
 from scipy.optimize import brentq, minimize_scalar
 
@@ -303,6 +305,75 @@ def test_cdf_endpoints_and_monotonicity():
     grid = np.linspace(-law.support_hi, law.support_hi, 41)
     vals = law.cdf(grid)
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+CLOSED_FORM_LAWS = (
+    ("standard", PARAMS_SPECIAL, COIN_BAL, 0),
+    ("standard", PARAMS_SPECIAL, COIN_GEN, 0),
+    ("standard", WalkParams(SQ2, 3 * math.pi / 2), COIN_RIGHT, 1),
+    ("cmv_only", PARAMS_CANONICAL, COIN_BAL, 0),
+    ("cmv_only", WalkParams(0.3, 0.7), COIN_GEN, 0),
+    ("cmv_only", WalkParams(0.9, -2.0), COIN_RIGHT, 0),
+)
+
+
+@pytest.mark.parametrize("kind, params, coin, n", CLOSED_FORM_LAWS)
+def test_cdf_matches_closed_form(kind, params, coin, n):
+    """The quadrature CDF equals the elementary antiderivative and is monotone."""
+    law = make_limit_law(kind, params, coin, n=n)
+    hi = law.support_hi
+    xs = np.concatenate(
+        (np.linspace(-hi, hi, 401), hi * (1.0 - np.geomspace(1e-16, 1e-3, 20)))
+    )
+    xs.sort()
+    vals = law.cdf(xs)
+    assert np.max(np.abs(vals - closed_form_cdf(xs, hi, law.coeff))) <= 1e-10
+    assert np.all(np.diff(vals) >= 0.0)
+
+
+@pytest.mark.parametrize("params, coin, variant, kind, n", REGRESSION_GRID)
+def test_cdf_array_matches_scalar_calls(params, coin, variant, kind, n):
+    """One array call gives each scalar call's value, in any order and shape."""
+    law = make_limit_law(kind, params, coin, n=n)
+    hi = law.support_hi
+    rng = np.random.default_rng(7)
+    edge = hi * (1.0 - np.geomspace(1e-16, 1e-2, 15))
+    xs = np.concatenate(
+        (rng.uniform(-1.2 * hi, 1.2 * hi, 87), edge, -edge, [-hi, 0.0, hi])
+    )
+    rng.shuffle(xs)
+    vals = law.cdf(xs)
+    scalars = np.array([law.cdf(float(v)) for v in xs])
+    assert isinstance(law.cdf(0.0), float)
+    assert np.max(np.abs(vals - scalars)) <= 1e-13
+    grid = law.cdf(xs.reshape(8, 15))
+    assert grid.shape == (8, 15)
+    np.testing.assert_array_equal(grid.ravel(), vals)
+
+
+@pytest.mark.parametrize(
+    "kind, params, coin, n",
+    [(kind, params, coin, n) for params, coin, _, kind, n in REGRESSION_GRID]
+    + [("theorem1", PARAMS_SPECIAL, COIN_GEN, 0)],
+)
+def test_substituted_density_edges_and_interior(kind, params, coin, n):
+    """Finite edge limits ``(1 +- c h)/(pi sqrt(1 - h^2))``; density inside.
+
+    The theorem1 law at the special set is included: there the density's
+    own form is 0/0 at the edges.
+    """
+    law = make_limit_law(kind, params, coin, n=n)
+    hi = law.support_hi
+    for sign in (1, -1):
+        expected = (1.0 + sign * law.coeff * hi) / (math.pi * math.sqrt(1.0 - hi * hi))
+        edge = law.substituted_density(sign * 0.5 * math.pi)
+        assert edge == pytest.approx(expected, rel=1e-12)
+    theta = np.linspace(-1.5, 1.5, 301)
+    np.testing.assert_allclose(
+        law.substituted_density(theta),
+        law.density(hi * np.sin(theta)) * hi * np.cos(theta),
+        rtol=1e-11,
+    )
 
 
 def test_first_moment_vanishes_for_symmetric_weight():
