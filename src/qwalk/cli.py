@@ -79,6 +79,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _format_rows(template: str, columns) -> list[str]:
+    """One ``template.format(*row)`` per row of the parallel ``columns``.
+
+    Each column goes through ``tolist()``, so the template formats
+    Python ints and floats: ``{:.17g}`` writes what :func:`_fmt` does
+    and ``{!r}`` what :func:`json.dumps` does for a finite float.
+    """
+    return list(map(template.format, *(c.tolist() for c in columns)))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully parsed and validated invocation."""
@@ -215,35 +225,19 @@ def cmd_simulate(cfg: RunConfig) -> str:
     ``[-t, t]``.
     """
     state = evolve_fourier(cfg.coin, cfg.params, cfg.t, variant=cfg.variant)
-    probs = distribution(state).probs
-    xs = state.positions()
+    amps = state.amps
+    columns = {
+        "x": state.positions(),
+        "prob": distribution(state).probs,
+        "amp0_re": amps[:, 0].real,
+        "amp0_im": amps[:, 0].imag,
+        "amp1_re": amps[:, 1].real,
+        "amp1_im": amps[:, 1].imag,
+    }
     if cfg.format == "json":
-        rows = [
-            {
-                "x": int(x),
-                "prob": float(p),
-                "amp0_re": float(a[0].real),
-                "amp0_im": float(a[0].imag),
-                "amp1_re": float(a[1].real),
-                "amp1_im": float(a[1].imag),
-            }
-            for x, p, a in zip(xs, probs, state.amps)
-        ]
-        return _json_text({"command": "simulate", "rows": rows})
-    rows = [
-        ",".join(
-            (
-                str(int(x)),
-                _fmt(p),
-                _fmt(a[0].real),
-                _fmt(a[0].imag),
-                _fmt(a[1].real),
-                _fmt(a[1].imag),
-            )
-        )
-        for x, p, a in zip(xs, probs, state.amps)
-    ]
-    return _csv_text("x,prob,amp0_re,amp0_im,amp1_re,amp1_im", rows)
+        return _json_text({"command": "simulate"}, columns)
+    rows = _format_rows("{}" + ",{:.17g}" * 5, columns.values())
+    return _csv_text(",".join(columns), rows)
 
 
 def cmd_density(cfg: RunConfig) -> str:
@@ -254,18 +248,22 @@ def cmd_density(cfg: RunConfig) -> str:
         _DENSITY_GRID_PAD * law.support_hi,
         _DENSITY_GRID_POINTS,
     )
-    vals = law.density(xs)
+    columns = {"x": xs, "density": law.density(xs)}
     if cfg.format == "json":
-        rows = [
-            {"x": float(x), "density": float(v)} for x, v in zip(xs, vals)
-        ]
-        return _json_text({"command": "density", "rows": rows})
-    rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
-    return _csv_text("x,density", rows)
+        return _json_text({"command": "density"}, columns)
+    rows = _format_rows("{:.17g},{:.17g}", columns.values())
+    return _csv_text(",".join(columns), rows)
 
 
 def report_to_dict(report: ComparisonReport) -> dict:
     """JSON-ready dictionary of a comparison report."""
+    body = _report_header(report)
+    body["rows"] = _row_dicts(_report_columns(report))
+    return body
+
+
+def _report_header(report: ComparisonReport) -> dict:
+    """Everything of :func:`report_to_dict` but the rows, in its key order."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
@@ -277,12 +275,14 @@ def report_to_dict(report: ComparisonReport) -> dict:
         "moment_errors": [
             {"r": int(r), "error": float(e)} for r, e in report.moment_errors
         ],
-        "rows": [
-            {"x": int(x), "simulated": float(s), "approx": float(a)}
-            for x, s, a in zip(
-                report.positions, report.simulated, report.approx
-            )
-        ],
+    }
+
+
+def _report_columns(report: ComparisonReport) -> dict[str, np.ndarray]:
+    return {
+        "x": report.positions,
+        "simulated": report.simulated,
+        "approx": report.approx,
     }
 
 
@@ -317,8 +317,9 @@ def cmd_compare(cfg: RunConfig) -> str:
         law_kind=cfg.law,
         n=cfg.n,
     )
+    columns = _report_columns(report)
     if cfg.format == "json":
-        return _json_text(report_to_dict(report))
+        return _json_text(_report_header(report), columns)
     meta = [
         f"schema_version,{SCHEMA_VERSION}",
         "command,compare",
@@ -331,37 +332,58 @@ def cmd_compare(cfg: RunConfig) -> str:
     meta.extend(
         f"moment_error_r{r},{_fmt(e)}" for r, e in report.moment_errors
     )
-    rows = [
-        f"{int(x)},{_fmt(s)},{_fmt(a)}"
-        for x, s, a in zip(report.positions, report.simulated, report.approx)
-    ]
-    return _csv_text("x,simulated,approx", rows, meta=meta)
+    rows = _format_rows("{},{:.17g},{:.17g}", columns.values())
+    return _csv_text(",".join(columns), rows, meta=meta)
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
     """Support half-width over the (rho, nu) grid, rho-major row order."""
     rho_min, rho_max, rho_steps, nu_min, nu_max, nu_steps = cfg.grid
-    rhos = np.linspace(rho_min, rho_max, rho_steps)
-    nus = np.linspace(nu_min, nu_max, nu_steps)
-    triples = [
-        (rho, nu, support_halfwidth(WalkParams(rho=float(rho), nu=float(nu))))
-        for rho in rhos
-        for nu in nus
-    ]
-    if cfg.format == "json":
-        rows = [
-            {"rho": float(r), "nu": float(v), "h_star": float(h)}
-            for r, v, h in triples
+    rhos, nus = np.meshgrid(
+        np.linspace(rho_min, rho_max, rho_steps),
+        np.linspace(nu_min, nu_max, nu_steps),
+        indexing="ij",
+    )
+    columns = {"rho": rhos.ravel(), "nu": nus.ravel()}
+    columns["h_star"] = np.array(
+        [
+            support_halfwidth(WalkParams(rho=rho, nu=nu))
+            for rho, nu in zip(columns["rho"].tolist(), columns["nu"].tolist())
         ]
-        return _json_text({"command": "sweep", "rows": rows})
-    rows = [f"{_fmt(r)},{_fmt(v)},{_fmt(h)}" for r, v, h in triples]
-    return _csv_text("rho,nu,h_star", rows)
+    )
+    if cfg.format == "json":
+        return _json_text({"command": "sweep"}, columns)
+    rows = _format_rows("{:.17g},{:.17g},{:.17g}", columns.values())
+    return _csv_text(",".join(columns), rows)
 
 
-def _json_text(payload: dict) -> str:
+def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> str:
+    """``payload`` plus a ``"rows"`` list of ``{name: value}`` objects, one
+    per entry of the parallel ``columns``, as ``json.dumps(..., indent=2)``
+    writes it.
+
+    The rows are formatted directly and spliced after the header, which
+    is much faster for long tables; an empty table or a non-finite value
+    (which json writes as ``NaN``/``Infinity``) goes through json.dumps.
+    """
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
+    arrays = list(columns.values())
+    if len(arrays[0]) and all(np.isfinite(a).all() for a in arrays):
+        fields = ",\n".join(f"      {json.dumps(name)}: {{!r}}" for name in columns)
+        item = "    {{\n" + fields + "\n    }}"
+        rows = ",\n".join(_format_rows(item, arrays))
+        head = json.dumps(body, indent=2)[: -len("\n}")]
+        return f'{head},\n  "rows": [\n{rows}\n  ]\n}}\n'
+    body["rows"] = _row_dicts(columns)
     return json.dumps(body, indent=2) + "\n"
+
+
+def _row_dicts(columns: dict[str, np.ndarray]) -> list[dict]:
+    return [
+        dict(zip(columns, row))
+        for row in zip(*(c.tolist() for c in columns.values()))
+    ]
 
 
 _COMMANDS = {

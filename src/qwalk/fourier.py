@@ -14,10 +14,17 @@ Conventions used throughout:
   the ``+`` branch stored first.
 * Amplitudes of the full walk at time t are recovered from the shifted
   symbol by ``psi_t(x) = exp(1j*nu*x) * R(-nu/2) @ idft[ S(k)^t @ R(nu/2) phi ](x)``
-  where ``R`` is :func:`phase_rotation` and the inverse DFT runs over
-  ``M >= 2*t + 3`` equispaced nodes.  The integrand is a trigonometric
-  polynomial of degree <= t, so the discrete sum equals the integral
-  exactly and the result matches lattice evolution to rounding.
+  where ``R`` is :func:`phase_rotation`.  A 2x2 unitary ``A`` with
+  eigenvalues ``sigma*exp(+/-1j*delta)`` satisfies
+  ``A^t = sigma^(t-1) U_t A - sigma^t U_(t-1)`` with the Chebyshev
+  values ``U_n = sin(n*delta) / sin(delta)``; for ``S`` that is
+  ``sigma = 1j`` and ``cos(delta) = s(k)``.  Since ``S(k) v`` has only
+  the harmonics ``1, exp(-1j*k), exp(1j*k)``, the state is a fixed
+  combination of the Fourier coefficients of ``U_t`` and ``U_(t-1)``
+  at neighbouring sites.  Those are even trigonometric polynomials of
+  degree < t, so a type-I DCT over ``M >= 2*t + 3`` equispaced nodes
+  gives them exactly, and the result matches lattice evolution to
+  rounding.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct, next_fast_len
 
 from .walk import CoinSpinor, WalkParams, WaveState, initial_state
 
@@ -41,17 +49,18 @@ __all__ = [
     "evolve_fourier",
 ]
 
-#: Largest step count evolve_fourier() accepts.  Its arrays hold
-#: ``M = next_pow2 >= 2t + 3`` nodes, built before any work starts:
-#: t = 1e6 peaks near 744 MB, so a larger cap could exhaust memory
-#: where a lattice run would only have been slow.
+#: Largest step count evolve_fourier() accepts.  Its arrays grow with
+#: ``t`` and are built before any work starts: a full-walk process
+#: peaks near 300 MB RSS at t = 1e6 and 480 MB at t = 2e6, so a larger
+#: cap could exhaust memory where a lattice run would only have been slow.
 MAX_STEPS = 2_000_000
 
 # Below this squared half-gap the two eigenvalues are treated as
-# colliding: eigensystem() refuses, evolve_fourier() switches to direct
-# matrix powers for the affected nodes.
+# colliding: eigensystem() refuses.
 _GAP_SQ_TOL = 1e-14
-_POWER_GAP_SQ_TOL = 1e-9
+
+# i**n for n mod 4; powers of 1j taken in floating point drift in phase.
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
 
 
 class DegenerateSymbolError(ValueError):
@@ -100,11 +109,7 @@ def shifted_symbol(k, params: WalkParams) -> np.ndarray:
     ``[[-c, d], [conj(d), conj(c)]]``.  Accepts a scalar momentum or an
     array; an array of shape ``shape`` yields ``shape + (2, 2)``.
     """
-    return _shifted_symbol_at(np.exp(-1j * np.asarray(k, dtype=float)), params)
-
-
-def _shifted_symbol_at(ek: np.ndarray, params: WalkParams) -> np.ndarray:
-    """:func:`shifted_symbol` from the phases ``ek = exp(-1j*k)``."""
+    ek = np.exp(-1j * np.asarray(k, dtype=float))
     rr0 = params.rho * params.rho0
     eiv = cmath.exp(1j * params.nu)
     c = rr0 * (eiv + ek)
@@ -138,8 +143,8 @@ def _one_plus_minus(sin_y, cos_y):
     return np.where(up, big, small), np.where(up, small, big)
 
 
-def _gap_parts(ek, params: WalkParams):
-    """``s(k)`` and ``gap_sq = 1 - s**2`` from ``ek = exp(-1j*k)``.
+def _gap_parts(cos_k, sin_k, params: WalkParams):
+    """``s(k)`` and ``gap_sq = 1 - s**2`` from ``cos k`` and ``sin k``.
 
     Since ``1 = (rho - rho0)**2 + 2*rho*rho0``, the factors of
     ``gap_sq = (1 + s)(1 - s)`` are sums of nonnegative terms
@@ -148,9 +153,8 @@ def _gap_parts(ek, params: WalkParams):
     nearly collide.
     """
     rr0 = params.rho * params.rho0
-    sk = -np.imag(ek)
-    s = rr0 * (sk - math.sin(params.nu))
-    k_plus, k_minus = _one_plus_minus(sk, np.real(ek))
+    s = rr0 * (sin_k - math.sin(params.nu))
+    k_plus, k_minus = _one_plus_minus(sin_k, cos_k)
     nu_plus, nu_minus = _one_plus_minus(math.sin(params.nu), math.cos(params.nu))
     base = (params.rho - params.rho0) ** 2
     one_plus = base + rr0 * (k_plus + nu_minus)
@@ -173,7 +177,7 @@ def eigensystem(k: float, params: WalkParams) -> EigenSystem:
         only possible at the special parameter set ``rho = 1/sqrt(2)``,
         ``nu = pi/2 + n*pi``).
     """
-    s, gap_sq = _gap_parts(cmath.exp(-1j * float(k)), params)
+    s, gap_sq = _gap_parts(math.cos(float(k)), math.sin(float(k)), params)
     s = float(s)
     gap_sq = float(gap_sq)
     if gap_sq < _GAP_SQ_TOL:
@@ -218,89 +222,84 @@ def group_velocity(k, params: WalkParams):
     ``h(k) = rho*rho0*cos(k) / sqrt(1 - rho**2*rho0**2*(sin k - sin nu)**2)``;
     the first branch moves with ``-h(k)``.  Accepts scalar or array ``k``.
     """
-    ek = np.exp(-1j * np.asarray(k, dtype=float))
-    s, gap_sq = _gap_parts(ek, params)
-    out = params.rho * params.rho0 * ek.real / np.sqrt(gap_sq)
+    k_arr = np.asarray(k, dtype=float)
+    cos_k = np.cos(k_arr)
+    s, gap_sq = _gap_parts(cos_k, np.sin(k_arr), params)
+    out = params.rho * params.rho0 * cos_k / np.sqrt(gap_sq)
     if np.ndim(k) == 0:
         return float(out)
     return out
 
 
-def _swap_free_gap(ek, params: WalkParams):
-    """``cos`` and ``sin`` of the swap-free eigenphase, from ``ek = exp(-1j*k)``.
+def _swap_free_gap(cos_k, sin_k, params: WalkParams):
+    """``cos`` and ``sin`` of the swap-free eigenphase, from ``cos k`` and ``sin k``.
 
     ``tau = rho0**2 cos k - rho**2``, and
     ``1 - tau**2 = rho0**2 (1 + cos k) (2 rho**2 + rho0**2 (1 - cos k))``
     is a product of nonnegative factors, so the sine stays accurate near
     ``k = pi``, where the gap closes for every ``rho``.
     """
-    ck = np.real(ek)
-    c_plus, c_minus = _one_plus_minus(ck, np.imag(ek))
-    tau = params.rho0**2 * ck - params.rho**2
+    c_plus, c_minus = _one_plus_minus(cos_k, sin_k)
+    tau = params.rho0**2 * cos_k - params.rho**2
     sin_ang = params.rho0 * np.sqrt(
         c_plus * (2.0 * params.rho**2 + params.rho0**2 * c_minus)
     )
     return tau, sin_ang
 
 
-def _swap_free_symbol(ekm: np.ndarray, params: WalkParams) -> np.ndarray:
-    """Symbol of the swap-free step, at phases ``ekm = exp(-1j*k)``, with
-    the nu-rotation peeled off.
+def _node_count(t: int) -> int:
+    """Node count ``M`` of the engine's transforms for ``t >= 1`` steps.
 
-    The swap-free multiplier is ``R(nu/2) @ G(k) @ R(-nu/2)`` with
-    ``G(k) = (R(-k/2) @ W)**2`` for the real rotation
-    ``W = [[rho0, -rho], [rho, rho0]]``; this returns ``G``.
+    ``M >= 2t + 3`` makes the discrete Fourier sums exact; ``M`` is a
+    multiple of 4, so the nodes ``theta`` of the full walk's substitution
+    ``k = pi/2 - theta`` are momentum nodes as well; and ``M/4`` has
+    only the prime factors 2, 3 and 5, so the transforms stay fast with
+    at most a few percent more nodes than needed.
     """
-    rho2 = params.rho**2
-    rho02 = params.rho0**2
-    rr0 = params.rho * params.rho0
-    ekp = np.conj(ekm)
-    out = np.empty(ekm.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = rho02 * ekm - rho2
-    out[..., 0, 1] = -rr0 * (ekm + 1.0)
-    out[..., 1, 0] = rr0 * (ekp + 1.0)
-    out[..., 1, 1] = rho02 * ekp - rho2
-    return out
+    return 4 * next_fast_len(-(-(2 * t + 3) // 4), real=True)
 
 
-def _apply_powered(
-    sym: np.ndarray,
-    vec: np.ndarray,
-    t: int,
-    lam1: np.ndarray,
-    lam2: np.ndarray,
-    lam1_t: np.ndarray,
-    lam2_t: np.ndarray,
-    safe: np.ndarray,
-) -> np.ndarray:
-    """Apply ``sym[m]**t`` to ``vec[m]`` for every node ``m``.
+def _chebyshev_pair(cos_d, sin_d, t: int) -> np.ndarray:
+    """Rows ``U_t`` and ``U_(t-1)`` at angles ``delta`` in ``[0, pi]``.
 
-    Uses the resolvent form
-    ``A^t = (lam1^t (A - lam2 I) - lam2^t (A - lam1 I)) / (lam1 - lam2)``
-    where the gap is safe, and exact binary matrix powers elsewhere.
+    ``U_n = sin(n*delta) / sin(delta)``, from ``cos(delta)`` and
+    ``sin(delta) >= 0``.  The angle is reflected to
+    ``eps = arctan2(sin, |cos|)`` in ``[0, pi/2]`` (arctan2 of both
+    accurate parts: arccos would amplify the rounding of ``cos`` next to
+    a closing gap, and ``t`` multiplies the angle), where
+    ``U_n(pi - eps) = (-1)**(n+1) U_n(eps)`` and ``U_n(0) = n``, so no
+    node needs a fallback.  Both rows come from the one rounded angle
+    ``t*eps`` (``U_(t-1) = U_t cos(eps) - cos(t*eps)``): the pair is
+    then that of a unitary power however ``t*eps`` rounds, which keeps
+    unit mass at large ``t``.
     """
-    av = np.einsum("mij,mj->mi", sym, vec)
-    gap = np.where(safe, lam1 - lam2, 1.0)[:, None]
-    out = (
-        lam1_t[:, None] * (av - lam2[:, None] * vec)
-        - lam2_t[:, None] * (av - lam1[:, None] * vec)
-    ) / gap
-    for m in np.nonzero(~safe)[0]:
-        out[m] = np.linalg.matrix_power(sym[m], t) @ vec[m]
+    cos_e = np.abs(cos_d)
+    angle = t * np.arctan2(sin_d, cos_e)
+    out = np.empty((2,) + np.shape(cos_d))
+    u_t, u_prev = out
+    np.divide(np.sin(angle), sin_d, out=u_t, where=sin_d > 0.0)
+    u_t[sin_d <= 0.0] = t
+    np.subtract(u_t * cos_e, np.cos(angle), out=u_prev)
+    # (-1)**(n+1) is -1 for n = t when t is even, for n = t-1 when t is odd
+    out[t % 2] *= np.where(cos_d < 0.0, -1.0, 1.0)
     return out
 
 
 def evolve_fourier(
     coin: CoinSpinor, params: WalkParams, t: int, variant: str = "full"
 ) -> WaveState:
-    """Evolve ``t`` steps by powering the symbol in momentum space.
+    """Evolve ``t`` steps exactly through the symbol's Chebyshev form.
 
-    Samples the t-th symbol power on ``M >= 2t + 3`` equispaced nodes
-    (next power of two), applies it to the transformed coin, and inverts
-    with an FFT; the node count makes the inversion exact for the
-    degree-<= t trigonometric polynomial integrand.  Eigenvalue powers
-    are taken analytically, with a direct matrix-power fallback at nodes
-    where the spectral gap nearly closes.
+    The t-th power of the step's symbol applied to the coin is
+    ``sigma^(t-1) U_t A v - sigma^t U_(t-1) v`` (module docstring), and
+    ``U_t``, ``U_(t-1)`` depend on the momentum only through ``sin k``
+    (full walk, ``sigma = 1j``) or ``cos k`` (swap-free walk,
+    ``sigma = 1``).  Their Fourier coefficients come from one type-I
+    DCT of both rows over ``M/2 + 1`` nodes (``M >= 2t + 3``, a multiple
+    of 4 with small prime factors); each site then combines them with
+    the three harmonics of ``A v``.  At t = 1e5 this takes about 20 ms
+    and allocates at most 17 MB, 6 MB of which is the result (full
+    walk, one thread of a 2-core VM).
 
     Returns a :class:`~qwalk.walk.WaveState` on the window ``[-t, t]``
     whose distribution matches lattice evolution within 1e-12 in total
@@ -325,48 +324,69 @@ def evolve_fourier(
 
     if not abs(coin.norm_sq() - 1.0) <= 1e-9:
         raise ValueError("initial coin state must have unit norm")
-    m_count = 1 << max(2, (2 * t + 2).bit_length())
-    if m_count < 2 * t + 3:
-        m_count <<= 1
-    k_nodes = 2.0 * np.pi * np.arange(m_count) / m_count
-    ek = np.exp(-1j * k_nodes)
+    m_count = _node_count(t)
+    # Each array is dropped once used: peak memory is what bounds t.
+    theta = (2.0 * np.pi / m_count) * np.arange(m_count // 2 + 1)
+    cos_th, sin_th = np.cos(theta), np.sin(theta)
+    del theta
     phi = coin.as_array()
     half = cmath.exp(0.5j * params.nu)
+    rr0 = params.rho * params.rho0
+    rho2, rho02 = params.rho**2, params.rho0**2
 
     if variant == "full":
-        sym = _shifted_symbol_at(ek, params)
-        s, gap_sq = _gap_parts(ek, params)
-        root = np.sqrt(gap_sq)
-        # arctan2 of accurate parts, not arcsin(s): near a closing gap
-        # arcsin amplifies the rounding of s, and t multiplies the angle.
-        ang = np.arctan2(s, root)
-        lam1 = root + 1j * s
-        lam2 = -root + 1j * s
-        lam1_t = np.exp(1j * t * ang)
-        lam2_t = (-1.0) ** t * np.conj(lam1_t)
-        safe = gap_sq >= _POWER_GAP_SQ_TOL
-        vec0 = np.array([half * phi[0], half.conjugate() * phi[1]])
+        # At k = pi/2 - theta, sin k = cos theta, and the coefficient of
+        # U at site x is 1j**x times its DCT value at |x|, over M.
+        s, gap_sq = _gap_parts(sin_th, cos_th, params)
+        cheb = _chebyshev_pair(s, np.sqrt(gap_sq), t)
+        v0, v1 = half * phi[0], half.conjugate() * phi[1]
+        eiv = cmath.exp(1j * params.nu)
+        # Rows: A v = a + b exp(-1j*k) + c exp(1j*k) read off
+        # shifted_symbol, for U_t at site x, at x - 1 (b) and x + 1 (c),
+        # then -v for U_(t-1) at x.  The neighbours' 1j**(x -/+ 1) and
+        # sigma's powers are taken relative to the common phase
+        # 1j**(x + t - 1), applied per site below.
+        weights = np.array(
+            [
+                [
+                    -eiv * (rr0 * v0 + rho2 * v1),
+                    eiv.conjugate() * (rr0 * v1 - rho2 * v0),
+                ],
+                [-1j * (rho02 * v1 - rr0 * v0), 0.0],
+                [0.0, 1j * (rho02 * v0 + rr0 * v1)],
+                [-1j * v0, -1j * v1],
+            ]
+        ) * np.array([half.conjugate(), half])
     else:
-        sym = _swap_free_symbol(ek, params)
-        tau, sin_ang = _swap_free_gap(ek, params)
-        ang = np.arctan2(sin_ang, tau)
-        lam1 = tau + 1j * sin_ang
-        lam2 = np.conj(lam1)
-        lam1_t = np.exp(1j * t * ang)
-        lam2_t = np.conj(lam1_t)
-        safe = sin_ang * sin_ang >= _POWER_GAP_SQ_TOL
-        vec0 = np.array([half.conjugate() * phi[0], half * phi[1]])
+        # The swap-free multiplier is R(nu/2) G(k) R(-nu/2) with
+        # G = [[rho0**2 e - rho**2, -rr0 (e + 1)],
+        #      [rr0 (conj(e) + 1), rho0**2 conj(e) - rho**2]], e = exp(-1j*k).
+        tau, sin_ang = _swap_free_gap(cos_th, sin_th, params)
+        cheb = _chebyshev_pair(tau, sin_ang, t)
+        v0, v1 = half.conjugate() * phi[0], half * phi[1]
+        weights = np.array(
+            [
+                [-rho2 * v0 - rr0 * v1, rr0 * v0 - rho2 * v1],
+                [rho02 * v0 - rr0 * v1, 0.0],
+                [0.0, rr0 * v0 + rho02 * v1],
+                [-v0, -v1],
+            ]
+        ) * np.array([half, half.conjugate()])
 
-    # Not needed below; freed before the (M, 2) arrays raise peak memory.
-    del k_nodes, ek
-    vec = np.broadcast_to(vec0, (m_count, 2))
-    hat = _apply_powered(sym, vec, t, lam1, lam2, lam1_t, lam2_t, safe)
-    real_space = np.fft.ifft(hat, axis=0)
-    x = np.arange(-t, t + 1)
-    rows = real_space[np.mod(x, m_count)]
+    del cos_th, sin_th
+    coef = dct(cheb, type=1, overwrite_x=True)
+    del cheb
+    # Coefficients of U_t at |x| <= t + 1 and of U_(t-1) at |x| <= t.
+    cur = np.concatenate((coef[0, t + 1 : 0 : -1], coef[0, : t + 2]))
+    prev = np.concatenate((coef[1, t:0:-1], coef[1, : t + 1]))
+    basis = np.stack((cur[1:-1], cur[:-2], cur[2:], prev), axis=1)
+    del coef, cur, prev
+    weights /= m_count
+    rows = (basis @ weights.view(np.float64)).view(np.complex128)
+    del basis
     if variant == "full":
-        rows = rows * np.array([half.conjugate(), half])
-        rows = rows * np.exp(1j * params.nu * x)[:, None]
-    else:
-        rows = rows * np.array([half, half.conjugate()])
-    return WaveState(time=t, x_min=-t, amps=np.ascontiguousarray(rows))
+        x = np.arange(-t, t + 1)
+        phase = np.exp(1j * params.nu * x)
+        phase *= _QUARTER_TURNS[(x + (t - 1)) % 4]
+        rows *= phase[:, None]
+    return WaveState(time=t, x_min=-t, amps=rows)

@@ -272,6 +272,10 @@ def evolve(
 
 
 def distribution(state: WaveState) -> Distribution:
-    """Position distribution ``P(x) = |amp0(x)|^2 + |amp1(x)|^2``."""
-    probs = np.sum(np.abs(state.amps) ** 2, axis=1)
+    """Position distribution ``P(x) = |amp0(x)|^2 + |amp1(x)|^2``.
+
+    Summed in one pass over the four real parts of each row.
+    """
+    f = np.ascontiguousarray(state.amps, dtype=np.complex128).view(np.float64)
+    probs = np.einsum("ij,ij->i", f, f)
     return Distribution(x_min=state.x_min, probs=probs)

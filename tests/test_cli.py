@@ -7,10 +7,19 @@ import math
 
 import numpy as np
 import pytest
-from conftest import COIN_BAL, COIN_RIGHT, PARAMS_CANONICAL, PARAMS_SPECIAL
+from conftest import COIN_BAL, COIN_RIGHT, PARAMS_CANONICAL, PARAMS_SPECIAL, SQ2
 
-from qwalk import WalkParams, distribution, evolve, support_halfwidth
-from qwalk.cli import main, parse_angle, parse_complex, report_from_dict
+from qwalk import (
+    CoinSpinor,
+    WalkParams,
+    distribution,
+    evolve,
+    evolve_fourier,
+    make_limit_law,
+    run_comparison,
+    support_halfwidth,
+)
+from qwalk.cli import _json_text, main, parse_angle, parse_complex, report_from_dict
 from qwalk.fourier import MAX_STEPS
 
 CANON_FLAGS = ["--rho", "0.70710678118654757", "--nu", "pi/4"]
@@ -328,6 +337,190 @@ def test_sweep_matches_library_values(tmp_path):
         assert h == pytest.approx(
             support_halfwidth(WalkParams(rho, nu)), abs=1e-15
         )
+
+
+# ------------------------------------------------- byte-identical rendering
+#
+# The renderings below are the per-value format(x, ".17g") and
+# json.dumps(..., indent=2) forms that the command files must keep
+# matching byte for byte.
+
+
+def _old_fmt(value) -> str:
+    return format(float(value), ".17g")
+
+
+def _old_csv(header, rows, meta=None) -> str:
+    lines = [f"# {key_value}" for key_value in meta] if meta else []
+    lines.append(header)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
+
+
+def _old_json(payload) -> str:
+    body = {"schema_version": 1}
+    body.update(payload)
+    return json.dumps(body, indent=2) + "\n"
+
+
+def _coin_flags(coin):
+    return [
+        "--alpha", f"{coin.a0.real!r},{coin.a0.imag!r}",
+        "--beta", f"{coin.a1.real!r},{coin.a1.imag!r}",
+    ]
+
+
+def _cli_text(tmp_path, fmt, *argv):
+    out = tmp_path / f"out.{fmt}"
+    assert run_cli(*argv, "--format", fmt, "--out", out) == 0
+    return out.read_text()
+
+
+RENDER_CASES = [
+    (PARAMS_CANONICAL, COIN_BAL, "full", 0),
+    (WalkParams(0.85, -1.3), CoinSpinor(0.6, 0.8j), "full", 257),
+    (PARAMS_SPECIAL, COIN_BAL, "full", 64),
+    (WalkParams(0.5, 1.2), COIN_RIGHT, "cmv_only", 120),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("params, coin, variant, t", RENDER_CASES)
+def test_simulate_rendering_is_byte_identical(
+    tmp_path, fmt, params, coin, variant, t
+):
+    text = _cli_text(
+        tmp_path, fmt, "simulate", "--rho", repr(params.rho), "--nu", repr(params.nu),
+        *_coin_flags(coin), "--variant", variant, "--t", t,
+    )
+    state = evolve_fourier(coin, params, t, variant=variant)
+    probs = distribution(state).probs
+    xs = state.positions()
+    if fmt == "json":
+        rows = [
+            {
+                "x": int(x),
+                "prob": float(p),
+                "amp0_re": float(a[0].real),
+                "amp0_im": float(a[0].imag),
+                "amp1_re": float(a[1].real),
+                "amp1_im": float(a[1].imag),
+            }
+            for x, p, a in zip(xs, probs, state.amps)
+        ]
+        assert text == _old_json({"command": "simulate", "rows": rows})
+    else:
+        rows = [
+            ",".join(
+                (str(int(x)), _old_fmt(p), _old_fmt(a[0].real), _old_fmt(a[0].imag),
+                 _old_fmt(a[1].real), _old_fmt(a[1].imag))
+            )
+            for x, p, a in zip(xs, probs, state.amps)
+        ]
+        assert text == _old_csv("x,prob,amp0_re,amp0_im,amp1_re,amp1_im", rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "params, coin, variant, law_kind, n",
+    [
+        (WalkParams(0.85, -1.3), CoinSpinor(0.6, 0.8j), "full", "theorem1", 0),
+        (WalkParams(SQ2, 3 * math.pi / 2), COIN_RIGHT, "full", "standard", 1),
+        (WalkParams(0.3, 0.7), COIN_BAL, "cmv_only", "cmv_only", 0),
+    ],
+)
+def test_compare_rendering_is_byte_identical(
+    tmp_path, fmt, params, coin, variant, law_kind, n
+):
+    t = 150
+    text = _cli_text(
+        tmp_path, fmt, "compare", "--rho", repr(params.rho), "--nu", repr(params.nu),
+        *_coin_flags(coin), "--variant", variant, "--law", law_kind, "--n", n, "--t", t,
+    )
+    report = run_comparison(params, coin, t, variant=variant, law_kind=law_kind, n=n)
+    triples = zip(report.positions, report.simulated, report.approx)
+    if fmt == "json":
+        expected = _old_json(
+            {
+                "schema_version": 1,
+                "command": "compare",
+                "t": int(report.t),
+                "variant": report.variant,
+                "law": report.law_kind,
+                "smoothing_width": int(report.smoothing_width),
+                "ks_distance": float(report.ks_distance),
+                "moment_errors": [
+                    {"r": int(r), "error": float(e)} for r, e in report.moment_errors
+                ],
+                "rows": [
+                    {"x": int(x), "simulated": float(s), "approx": float(a)}
+                    for x, s, a in triples
+                ],
+            }
+        )
+    else:
+        meta = [
+            "schema_version,1",
+            "command,compare",
+            f"t,{report.t}",
+            f"variant,{report.variant}",
+            f"law,{report.law_kind}",
+            f"smoothing_width,{report.smoothing_width}",
+            f"ks_distance,{_old_fmt(report.ks_distance)}",
+        ]
+        meta.extend(f"moment_error_r{r},{_old_fmt(e)}" for r, e in report.moment_errors)
+        rows = [f"{int(x)},{_old_fmt(s)},{_old_fmt(a)}" for x, s, a in triples]
+        expected = _old_csv("x,simulated,approx", rows, meta=meta)
+    assert text == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_and_sweep_rendering_is_byte_identical(tmp_path, fmt):
+    params = WalkParams(0.85, -1.3)
+    text = _cli_text(
+        tmp_path, fmt, "density", "--rho", "0.85", "--nu", "-1.3", *BAL_FLAGS
+    )
+    law = make_limit_law("theorem1", params, COIN_BAL)
+    xs = np.linspace(-1.05 * law.support_hi, 1.05 * law.support_hi, 2001)
+    pairs = list(zip(xs, law.density(xs)))
+    if fmt == "json":
+        rows = [{"x": float(x), "density": float(v)} for x, v in pairs]
+        assert text == _old_json({"command": "density", "rows": rows})
+    else:
+        rows = [f"{_old_fmt(x)},{_old_fmt(v)}" for x, v in pairs]
+        assert text == _old_csv("x,density", rows)
+
+    text = _cli_text(tmp_path, fmt, "sweep", "--grid", "0.2,0.8,4,-pi/2,pi,5")
+    triples = [
+        (rho, nu, support_halfwidth(WalkParams(float(rho), float(nu))))
+        for rho in np.linspace(0.2, 0.8, 4)
+        for nu in np.linspace(-math.pi / 2, math.pi, 5)
+    ]
+    if fmt == "json":
+        rows = [
+            {"rho": float(r), "nu": float(v), "h_star": float(h)}
+            for r, v, h in triples
+        ]
+        assert text == _old_json({"command": "sweep", "rows": rows})
+    else:
+        rows = [f"{_old_fmt(r)},{_old_fmt(v)},{_old_fmt(h)}" for r, v, h in triples]
+        assert text == _old_csv("rho,nu,h_star", rows)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"x": np.array([-1, 0, 1]), "v": np.array([0.25, math.nan, 1e-300])},
+        {"x": np.array([0, 1]), "v": np.array([math.inf, -math.inf])},
+        {"x": np.array([], dtype=int), "v": np.array([])},
+    ],
+)
+def test_json_rows_with_non_finite_or_no_values_match_json_dumps(columns):
+    rows = [
+        {"x": x, "v": v} for x, v in zip(columns["x"].tolist(), columns["v"].tolist())
+    ]
+    expected = _old_json({"command": "t", "rows": rows})
+    assert _json_text({"command": "t"}, columns) == expected
 
 
 # --------------------------------------------------- config file and exits

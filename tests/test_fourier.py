@@ -13,6 +13,7 @@ from conftest import (
     COIN_RIGHT,
     PARAMS_CANONICAL,
     PARAMS_SPECIAL,
+    REGRESSION_GRID,
     SQ2,
 )
 
@@ -30,7 +31,7 @@ from qwalk import (
     phase_rotation,
     shifted_symbol,
 )
-from qwalk.fourier import MAX_STEPS
+from qwalk.fourier import MAX_STEPS, _chebyshev_pair, _node_count
 
 
 def lattice_dft(state, k: float) -> np.ndarray:
@@ -240,8 +241,9 @@ def test_evolve_fourier_matches_lattice_amplitudes(variant, params):
 
 
 def test_evolve_fourier_handles_degenerate_momenta():
-    """At the special parameter set the gap closes at one node; the
-    matrix-power fallback must keep the answer exact."""
+    """At the special parameter set the gap closes at one momentum
+    node, where sin(delta) = 0; the Chebyshev values there must take
+    their limit U_n = +/-n so the answer stays exact."""
     params = WalkParams(SQ2, math.pi / 2)
     t = 64  # power of two: the degenerate node k = -pi/2 is sampled exactly
     lattice = evolve(COIN_BAL, params, t)
@@ -311,3 +313,57 @@ def test_evolve_fourier_matches_flushed_lattice_at_depth(params, coin, variant):
     )
     assert tv <= 1e-12
 
+
+
+def test_node_count_is_a_multiple_of_four_above_two_t_plus_three():
+    for t in list(range(1, 3000)) + [99_999, 100_000, 10**6, MAX_STEPS]:
+        m_count = _node_count(t)
+        assert m_count % 4 == 0 and m_count >= 2 * t + 3
+    # next_fast_len, not the next power of two (262144 nodes)
+    assert _node_count(100_000) == 202_500
+
+
+@pytest.mark.parametrize("t", [37, 70, 1100])
+@pytest.mark.parametrize("variant", ["full", "cmv_only"])
+def test_evolve_fourier_matches_lattice_off_power_of_two_nodes(t, variant):
+    """Node counts with factors 3 and 5, as every large t uses."""
+    m_count = _node_count(t)
+    assert m_count & (m_count - 1) != 0
+    params = WalkParams(0.6, 1.0)
+    lattice = evolve(COIN_GEN, params, t, variant=variant)
+    fourier = evolve_fourier(COIN_GEN, params, t, variant=variant)
+    np.testing.assert_allclose(fourier.amps, lattice.amps, atol=1e-12)
+
+
+@pytest.mark.parametrize("params, coin, variant, kind, n", REGRESSION_GRID)
+def test_evolve_fourier_keeps_unit_mass_at_depth(params, coin, variant, kind, n):
+    """At t = 1e5 the engine's mass stays within 1e-13 of 1.
+
+    Phases like 1j**t taken in floating point, or U_t and U_(t-1) from
+    separately rounded angles, each break this by 1e-12 or more.
+    """
+    t = 100_000
+    state = evolve_fourier(coin, params, t, variant=variant)
+    assert state.amps.shape == (2 * t + 1, 2)
+    assert abs(distribution(state).total() - 1.0) <= 1e-13
+
+
+def test_chebyshev_pair_next_to_closing_gaps():
+    """U_t and U_(t-1) stay accurate where sin(delta) is tiny or zero.
+
+    Reference: the three-term recurrence in extended precision, from
+    cos(delta) alone.  Near delta = pi the angle must be reflected
+    before it is multiplied by t; arctan2(sin, cos) there rounds away
+    the small part that sets U_t.
+    """
+    t = 1000
+    etas = np.array([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 0.3, 0.95])
+    sin_d = np.concatenate((etas, etas))
+    cos_ld = np.sqrt(1.0 - np.longdouble(etas) ** 2)
+    cos_ld = np.concatenate((cos_ld, -cos_ld))
+    got = _chebyshev_pair(cos_ld.astype(np.float64), sin_d, t)
+    prev, cur = np.zeros_like(cos_ld), np.ones_like(cos_ld)
+    for _ in range(t - 2):
+        prev, cur = cur, 2 * cos_ld * cur - prev
+    for row, ref in zip(got, (2 * cos_ld * cur - prev, cur)):
+        assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))

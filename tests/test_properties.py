@@ -1,9 +1,11 @@
-"""Property tests of the limit laws over random parameters and coins.
+"""Property tests over random parameters and coins.
 
-Parameters are drawn outside a box of half-widths 0.03 in ``rho`` and
-0.1 in ``nu`` around each special point ``(1/sqrt(2), +-pi/2)``; the
-special set itself enters through its ``standard`` laws.  Runs are
-derandomized, so the suite draws the same examples every time.
+For the limit laws, parameters are drawn outside a box of half-widths
+0.03 in ``rho`` and 0.1 in ``nu`` around each special point
+``(1/sqrt(2), +-pi/2)``; the special set itself enters through its
+``standard`` laws.  The evolution engines are compared everywhere, the
+special set included.  Runs are derandomized, so the suite draws the
+same examples every time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from conftest import SQ2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk import CoinSpinor, WalkParams, make_limit_law
+from qwalk import CoinSpinor, WalkParams, evolve, evolve_fourier, make_limit_law
 from qwalk.harness import _cdf_table
 
 PROPERTY_SETTINGS = settings(
@@ -31,13 +33,18 @@ def _near_special(rho: float, nu: float) -> bool:
 
 
 @st.composite
-def limit_laws(draw):
-    kind = draw(st.sampled_from(("theorem1", "standard", "cmv_only")))
+def coins(draw):
     tilt = draw(st.floats(0.0, 0.5 * math.pi))
-    coin = CoinSpinor(
+    return CoinSpinor(
         math.cos(tilt) * cmath.exp(1j * draw(_phases)),
         math.sin(tilt) * cmath.exp(1j * draw(_phases)),
     )
+
+
+@st.composite
+def limit_laws(draw):
+    kind = draw(st.sampled_from(("theorem1", "standard", "cmv_only")))
+    coin = draw(coins())
     if kind == "standard":
         n = draw(st.integers(0, 1))
         return make_limit_law(kind, WalkParams(SQ2, (0.5 + n) * math.pi), coin, n=n)
@@ -64,3 +71,23 @@ def test_cdf_is_monotone_from_zero_to_one(law):
 def test_unit_mass_in_moments_and_table(law):
     assert abs(law.moment(0) - 1.0) <= 1e-9
     assert abs(_cdf_table(law)[1][-1] - 1.0) <= 1e-9
+
+
+_SPECIAL_SET = tuple(WalkParams(SQ2, nu) for nu in (0.5 * math.pi, -0.5 * math.pi))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.sampled_from(_SPECIAL_SET),
+        st.builds(WalkParams, st.floats(0.05, 0.95), _phases),
+    ),
+    coins(),
+    st.sampled_from(("full", "cmv_only")),
+    st.integers(0, 200),
+)
+def test_fourier_engine_equals_lattice(params, coin, variant, t):
+    lattice = evolve(coin, params, t, variant=variant)
+    fourier = evolve_fourier(coin, params, t, variant=variant)
+    assert fourier.x_min == lattice.x_min
+    assert np.max(np.abs(fourier.amps - lattice.amps)) <= 1e-12
