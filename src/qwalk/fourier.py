@@ -23,8 +23,8 @@ Conventions used throughout:
   combination of the Fourier coefficients of ``U_t`` and ``U_(t-1)``
   at neighbouring sites.  Those are even trigonometric polynomials of
   degree < t, so a type-I DCT over ``M >= 2*t + 3`` equispaced nodes
-  gives them exactly, and the result matches lattice evolution to
-  rounding.
+  (a real FFT of the even extension) gives them exactly, and the result
+  matches lattice evolution to rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, next_fast_len
 
 from .walk import CoinSpinor, WalkParams, WaveState, initial_state
 
@@ -51,7 +50,7 @@ __all__ = [
 
 #: Largest step count evolve_fourier() accepts.  Its arrays grow with
 #: ``t`` and are built before any work starts: a full-walk process
-#: peaks near 300 MB RSS at t = 1e6 and 480 MB at t = 2e6, so a larger
+#: peaks near 200 MB RSS at t = 1e6 and 370 MB at t = 2e6, so a larger
 #: cap could exhaust memory where a lattice run would only have been slow.
 MAX_STEPS = 2_000_000
 
@@ -247,41 +246,77 @@ def _swap_free_gap(cos_k, sin_k, params: WalkParams):
     return tau, sin_ang
 
 
+def _next_5_smooth(n: int) -> int:
+    """Smallest integer ``>= n >= 1`` with no prime factor above 5."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the least power of two times f35 that reaches n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _node_count(t: int) -> int:
     """Node count ``M`` of the engine's transforms for ``t >= 1`` steps.
 
     ``M >= 2t + 3`` makes the discrete Fourier sums exact; ``M`` is a
     multiple of 4, so the nodes ``theta`` of the full walk's substitution
-    ``k = pi/2 - theta`` are momentum nodes as well; and ``M/4`` has
-    only the prime factors 2, 3 and 5, so the transforms stay fast with
-    at most a few percent more nodes than needed.
+    ``k = pi/2 - theta`` are momentum nodes as well; and ``M/4`` is the
+    least integer with only the prime factors 2, 3 and 5 that is large
+    enough, so the real FFT of length ``M`` stays fast with at most a
+    few percent more nodes than needed (202 500 at t = 1e5).
     """
-    return 4 * next_fast_len(-(-(2 * t + 3) // 4), real=True)
+    return 4 * _next_5_smooth(-(-(2 * t + 3) // 4))
 
 
-def _chebyshev_pair(cos_d, sin_d, t: int) -> np.ndarray:
+def _chebyshev_pair(cos_d, sin_d, t: int, out=None) -> np.ndarray:
     """Rows ``U_t`` and ``U_(t-1)`` at angles ``delta`` in ``[0, pi]``.
 
     ``U_n = sin(n*delta) / sin(delta)``, from ``cos(delta)`` and
-    ``sin(delta) >= 0``.  The angle is reflected to
-    ``eps = arctan2(sin, |cos|)`` in ``[0, pi/2]`` (arctan2 of both
-    accurate parts: arccos would amplify the rounding of ``cos`` next to
-    a closing gap, and ``t`` multiplies the angle), where
+    ``sin(delta) >= 0``, written into ``out`` (shape
+    ``(2,) + cos_d.shape``, a view is fine) or a new array.  The angle
+    is reflected to ``eps = arctan2(sin, |cos|)`` in ``[0, pi/2]``
+    (arctan2 of both accurate parts: arccos would amplify the rounding
+    of ``cos`` next to a closing gap, and ``t`` multiplies the angle), where
     ``U_n(pi - eps) = (-1)**(n+1) U_n(eps)`` and ``U_n(0) = n``, so no
     node needs a fallback.  Both rows come from the one rounded angle
     ``t*eps`` (``U_(t-1) = U_t cos(eps) - cos(t*eps)``): the pair is
     then that of a unitary power however ``t*eps`` rounds, which keeps
     unit mass at large ``t``.
     """
+    if out is None:
+        out = np.empty((2,) + np.shape(cos_d))
     cos_e = np.abs(cos_d)
-    angle = t * np.arctan2(sin_d, cos_e)
-    out = np.empty((2,) + np.shape(cos_d))
+    angle = np.arctan2(sin_d, cos_e)
+    angle *= t
     u_t, u_prev = out
-    np.divide(np.sin(angle), sin_d, out=u_t, where=sin_d > 0.0)
+    np.sin(angle, out=u_t)
+    np.divide(u_t, sin_d, out=u_t, where=sin_d > 0.0)
     u_t[sin_d <= 0.0] = t
-    np.subtract(u_t * cos_e, np.cos(angle), out=u_prev)
+    np.multiply(u_t, cos_e, out=u_prev)
+    u_prev -= np.cos(angle, out=angle)
     # (-1)**(n+1) is -1 for n = t when t is even, for n = t-1 when t is odd
-    out[t % 2] *= np.where(cos_d < 0.0, -1.0, 1.0)
+    np.negative(out[t % 2], out=out[t % 2], where=cos_d < 0.0)
+    return out
+
+
+def _dct1(ext: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Type-I DCT of the rows of ``ext[:, :M/2 + 1]``, as ``out.real``.
+
+    ``ext`` has shape ``(rows, M)`` with ``M`` even; its last ``M/2 - 1``
+    columns are overwritten with the even extension of the first
+    ``M/2 + 1``, whose real FFT (into the complex ``out``, shape
+    ``(rows, M/2 + 1)``) has the DCT as its real part.  Row by row, the
+    FFT's own buffer holds one row at a time.
+    """
+    half_m = ext.shape[1] // 2
+    ext[:, half_m + 1 :] = ext[:, half_m - 1 : 0 : -1]
+    for row, row_out in zip(ext, out):
+        np.fft.rfft(row, out=row_out)
     return out
 
 
@@ -294,12 +329,14 @@ def evolve_fourier(
     ``sigma^(t-1) U_t A v - sigma^t U_(t-1) v`` (module docstring), and
     ``U_t``, ``U_(t-1)`` depend on the momentum only through ``sin k``
     (full walk, ``sigma = 1j``) or ``cos k`` (swap-free walk,
-    ``sigma = 1``).  Their Fourier coefficients come from one type-I
-    DCT of both rows over ``M/2 + 1`` nodes (``M >= 2t + 3``, a multiple
-    of 4 with small prime factors); each site then combines them with
-    the three harmonics of ``A v``.  At t = 1e5 this takes about 20 ms
-    and allocates at most 17 MB, 6 MB of which is the result (full
-    walk, one thread of a 2-core VM).
+    ``sigma = 1``).  Their Fourier coefficients are the type-I DCT of
+    each row over ``M/2 + 1`` nodes (``M >= 2t + 3``, a multiple of 4
+    with small prime factors), computed as the real FFT of the row's
+    even extension to ``M`` nodes; each site then combines them with
+    the three harmonics of ``A v``.  At t = 1e5 this takes about 40 ms
+    and allocates at most 18 MB in all, 6.4 MB of which is the result
+    and 9.6 MB one scratch block (full walk, one thread of a 2-vCPU
+    VM, numpy 2.4).
 
     Returns a :class:`~qwalk.walk.WaveState` on the window ``[-t, t]``
     whose distribution matches lattice evolution within 1e-12 in total
@@ -325,8 +362,22 @@ def evolve_fourier(
     if not abs(coin.norm_sq() - 1.0) <= 1e-9:
         raise ValueError("initial coin state must have unit norm")
     m_count = _node_count(t)
-    # Each array is dropped once used: peak memory is what bounds t.
-    theta = (2.0 * np.pi / m_count) * np.arange(m_count // 2 + 1)
+    half_m = m_count // 2
+    n_sites = 2 * t + 1
+    # The large intermediates share one scratch block, taken before
+    # anything else, instead of each being a fresh multi-MB array: the
+    # transform's complex output, and in the region after it first the
+    # transform's input (both Chebyshev rows on the M/2 + 1 nodes, then
+    # their even extension to all M nodes, whose real FFT is their type-I
+    # DCT), then the per-site basis, then the site phases.  Other arrays
+    # are dropped once used: peak memory is what bounds t.
+    coef_len = 4 * (half_m + 1)  # floats of the (2, M/2 + 1) complex output
+    work = np.empty(coef_len + max(2 * m_count, 4 * n_sites))
+    coef = work[:coef_len].view(np.complex128).reshape(2, half_m + 1)
+    shared = work[coef_len:]
+    ext = shared[: 2 * m_count].reshape(2, m_count)
+    cheb = ext[:, : half_m + 1]
+    theta = (2.0 * np.pi / m_count) * np.arange(half_m + 1)
     cos_th, sin_th = np.cos(theta), np.sin(theta)
     del theta
     phi = coin.as_array()
@@ -338,7 +389,9 @@ def evolve_fourier(
         # At k = pi/2 - theta, sin k = cos theta, and the coefficient of
         # U at site x is 1j**x times its DCT value at |x|, over M.
         s, gap_sq = _gap_parts(sin_th, cos_th, params)
-        cheb = _chebyshev_pair(s, np.sqrt(gap_sq), t)
+        del cos_th, sin_th
+        _chebyshev_pair(s, np.sqrt(gap_sq, out=gap_sq), t, out=cheb)
+        del s, gap_sq
         v0, v1 = half * phi[0], half.conjugate() * phi[1]
         eiv = cmath.exp(1j * params.nu)
         # Rows: A v = a + b exp(-1j*k) + c exp(1j*k) read off
@@ -362,7 +415,9 @@ def evolve_fourier(
         # G = [[rho0**2 e - rho**2, -rr0 (e + 1)],
         #      [rr0 (conj(e) + 1), rho0**2 conj(e) - rho**2]], e = exp(-1j*k).
         tau, sin_ang = _swap_free_gap(cos_th, sin_th, params)
-        cheb = _chebyshev_pair(tau, sin_ang, t)
+        del cos_th, sin_th
+        _chebyshev_pair(tau, sin_ang, t, out=cheb)
+        del tau, sin_ang
         v0, v1 = half.conjugate() * phi[0], half * phi[1]
         weights = np.array(
             [
@@ -373,20 +428,24 @@ def evolve_fourier(
             ]
         ) * np.array([half, half.conjugate()])
 
-    del cos_th, sin_th
-    coef = dct(cheb, type=1, overwrite_x=True)
-    del cheb
-    # Coefficients of U_t at |x| <= t + 1 and of U_(t-1) at |x| <= t.
-    cur = np.concatenate((coef[0, t + 1 : 0 : -1], coef[0, : t + 2]))
-    prev = np.concatenate((coef[1, t:0:-1], coef[1, : t + 1]))
-    basis = np.stack((cur[1:-1], cur[:-2], cur[2:], prev), axis=1)
-    del coef, cur, prev
+    _dct1(ext, out=coef)
+    # Site x = i - t takes U_t at |x|, |x - 1| and |x + 1|, and U_(t-1)
+    # at |x|: column j holds row[|i - centre|].
+    u_t, u_prev = coef.real
+    basis = shared[: 4 * n_sites].reshape(n_sites, 4)
+    for j, (row, centre) in enumerate(
+        ((u_t, t), (u_t, t + 1), (u_t, t - 1), (u_prev, t))
+    ):
+        basis[centre:, j] = row[: n_sites - centre]
+        basis[:centre, j] = row[centre:0:-1]
     weights /= m_count
     rows = (basis @ weights.view(np.float64)).view(np.complex128)
-    del basis
     if variant == "full":
-        x = np.arange(-t, t + 1)
-        phase = np.exp(1j * params.nu * x)
-        phase *= _QUARTER_TURNS[(x + (t - 1)) % 4]
+        phase = shared[: 2 * n_sites].view(np.complex128)
+        np.multiply(1j * params.nu, np.arange(-t, t + 1), out=phase)
+        np.exp(phase, out=phase)
+        # Site x = i - t takes 1j**(i - 1).
+        for i in range(4):
+            phase[i::4] *= _QUARTER_TURNS[(i - 1) % 4]
         rows *= phase[:, None]
     return WaveState(time=t, x_min=-t, amps=rows)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fourier import evolve_fourier
 from .limitlaw import LimitLaw, make_limit_law
@@ -84,8 +83,10 @@ def _cdf_table(law: LimitLaw) -> tuple[np.ndarray, np.ndarray]:
     """
     theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _CDF_GRID_NODES)
     xs = law.support_hi * np.sin(theta)
-    cdf = cumulative_trapezoid(law.substituted_density(theta), theta, initial=0.0)
-    return xs, cdf
+    dens = law.substituted_density(theta)
+    # cumulative trapezoid, starting at 0 on the left edge
+    panels = np.diff(theta) * (dens[1:] + dens[:-1]) / 2.0
+    return xs, np.concatenate(([0.0], np.cumsum(panels)))
 
 
 def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:

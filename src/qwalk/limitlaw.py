@@ -42,10 +42,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .fourier import DegenerateSymbolError
 from .walk import CoinSpinor, WalkParams
@@ -77,7 +76,23 @@ _RADICAND_CLAMP = 1e-13
 _SPECIAL_PARAM_TOL = 1e-9
 
 _PANEL_EDGES = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65)
-_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = roots_legendre(16)
+# The 16-point Gauss-Legendre rule on [-1, 1] exactly as
+# scipy.special.roots_legendre(16) gives it, as (node, weight) for the
+# positive nodes of the symmetric rule.  numpy's leggauss(16) differs in
+# the last bits (weights by up to 2.3e-15), which would move every
+# quadrature result.
+_LEGENDRE_HALF = np.array([
+    (0.09501250983763745, 0.1894506104550681),
+    (0.2816035507792589, 0.18260341504492328),
+    (0.4580167776572274, 0.16915651939500212),
+    (0.6178762444026438, 0.14959598881657638),
+    (0.755404408355003, 0.12462897125553363),
+    (0.8656312023878318, 0.09515851168249231),
+    (0.9445750230732326, 0.06225352393864763),
+    (0.9894009349916499, 0.027152459411756466),
+])
+_LEGENDRE_NODES = np.concatenate((-_LEGENDRE_HALF[::-1, 0], _LEGENDRE_HALF[:, 0]))
+_LEGENDRE_WEIGHTS = np.concatenate((_LEGENDRE_HALF[::-1, 1], _LEGENDRE_HALF[:, 1]))
 
 
 def _panel_rule(lo: np.ndarray, hi: np.ndarray):
@@ -491,23 +506,19 @@ def overlap_weight(i: int, sign: int, nu_arg: float, k, params: WalkParams):
     return out
 
 
-def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float:
-    """Limit moment from the momentum-space spectral decomposition.
+# Each entry holds three 4096-node arrays (96 KB): an r-sweep over one
+# (params, coin) pair reuses them, and a run over many pairs stays bounded.
+@lru_cache(maxsize=16)
+def _spectral_nodes(
+    params: WalkParams, coin: CoinSpinor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second-branch velocity and both branch weights on the momentum grid.
 
-    Integrates ``(branch velocity)^r`` times the squared overlap of each
-    symbol eigenvector with the rotated coin over one momentum period
-    (uniform trapezoid, spectrally accurate for this periodic analytic
-    integrand).  Independent of the density quadrature route, which it
-    cross-checks to 1e-6.
-
-    Raises
-    ------
-    DegenerateSymbolError
-        At the special parameter set, where the eigenvector formulas
-        degenerate at isolated momenta.
+    The weights are the squared overlaps of the rotated coin with the
+    ``+`` and ``-`` eigenvectors of the shifted symbol; the ``+`` branch
+    moves with ``-velocity``.  The arrays are read-only, as they are shared
+    between calls.
     """
-    if r < 0:
-        raise ValueError("moment order must be nonnegative")
     k = -np.pi + 2.0 * np.pi * np.arange(_SPECTRAL_NODES) / _SPECTRAL_NODES
     rr0 = params.rho * params.rho0
     s = rr0 * (np.sin(k) - math.sin(params.nu))
@@ -525,15 +536,42 @@ def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float
     half = cmath.exp(0.5j * params.nu)
     phi0 = half * coin.a0
     phi1 = half.conjugate() * coin.a1
-    total = np.zeros_like(k)
-    for sgn, vel_sign in ((1.0, -1.0), (-1.0, 1.0)):
+    weights = []
+    for sgn in (1.0, -1.0):
         norm_main = 2.0 * (gap_sq + sgn * re_c * root)
         norm_alt = 2.0 * (gap_sq - sgn * re_c * root)
         num_main = np.abs(np.conj(d) * phi0 + (re_c + sgn * root) * phi1) ** 2
         num_alt = np.abs(-(re_c - sgn * root) * phi0 + d * phi1) ** 2
         use_main = norm_main >= norm_alt
-        weight = np.where(use_main, num_main, num_alt) / np.where(
-            use_main, norm_main, norm_alt
+        weights.append(
+            np.where(use_main, num_main, num_alt)
+            / np.where(use_main, norm_main, norm_alt)
         )
+    for arr in (velocity, *weights):
+        arr.flags.writeable = False
+    return velocity, weights[0], weights[1]
+
+
+def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float:
+    """Limit moment from the momentum-space spectral decomposition.
+
+    Integrates ``(branch velocity)^r`` times the squared overlap of each
+    symbol eigenvector with the rotated coin over one momentum period
+    (uniform trapezoid, spectrally accurate for this periodic analytic
+    integrand).  Independent of the density quadrature route, which it
+    cross-checks to 1e-6.  The node arrays are computed once per
+    ``(params, coin)`` and kept in a small cache.
+
+    Raises
+    ------
+    DegenerateSymbolError
+        At the special parameter set, where the eigenvector formulas
+        degenerate at isolated momenta.
+    """
+    if r < 0:
+        raise ValueError("moment order must be nonnegative")
+    velocity, weight_plus, weight_minus = _spectral_nodes(params, coin)
+    total = np.zeros_like(velocity)
+    for vel_sign, weight in ((-1.0, weight_plus), (1.0, weight_minus)):
         total = total + (vel_sign * velocity) ** r * weight
     return float(np.mean(total))

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import COIN_BAL, COIN_RIGHT, PARAMS_CANONICAL, PARAMS_SPECIAL, SQ2
 
+import qwalk
 from qwalk import (
     CoinSpinor,
     WalkParams,
@@ -688,3 +693,35 @@ def test_standard_law_off_special_exits_2(tmp_path):
     )
     assert rc == 2
     assert not (tmp_path / "x").exists()
+
+
+# ----------------------------------------------------------- dependencies
+
+
+def test_package_and_compare_load_no_scipy(tmp_path):
+    """The runtime needs numpy only: a fresh interpreter that imports the
+    package and runs one ``compare`` has no ``scipy`` module loaded."""
+    out = tmp_path / "cmp.csv"
+    script = "\n".join(
+        (
+            "import sys",
+            "import qwalk, qwalk.cli",
+            "out = '--out=' + sys.argv[1]",
+            "argv = ['compare', '--rho=0.6', '--nu=0.7', '--t=50', out]",
+            "assert qwalk.cli.main(argv) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+    )
+    env = dict(os.environ)
+    src = str(Path(qwalk.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert out.read_text().startswith("# schema_version,")

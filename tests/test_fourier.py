@@ -16,6 +16,7 @@ from conftest import (
     REGRESSION_GRID,
     SQ2,
 )
+from scipy.fft import dct, next_fast_len
 
 from qwalk import (
     CoinSpinor,
@@ -31,7 +32,7 @@ from qwalk import (
     phase_rotation,
     shifted_symbol,
 )
-from qwalk.fourier import MAX_STEPS, _chebyshev_pair, _node_count
+from qwalk.fourier import MAX_STEPS, _chebyshev_pair, _dct1, _node_count
 
 
 def lattice_dft(state, k: float) -> np.ndarray:
@@ -321,6 +322,25 @@ def test_node_count_is_a_multiple_of_four_above_two_t_plus_three():
         assert m_count % 4 == 0 and m_count >= 2 * t + 3
     # next_fast_len, not the next power of two (262144 nodes)
     assert _node_count(100_000) == 202_500
+
+
+def test_node_count_follows_scipy_next_fast_len():
+    """The numpy-only 5-smooth search picks the node count scipy would."""
+    for t in list(range(1, 5000)) + [100_000, 10**6, MAX_STEPS]:
+        quarter = -(-(2 * t + 3) // 4)
+        assert _node_count(t) == 4 * next_fast_len(quarter, real=True), t
+
+
+@pytest.mark.parametrize("t", [1, 2, 37, 100_000])
+def test_dct1_matches_scipy_bit_for_bit(t):
+    """The real FFT of the even extension is scipy's type-I DCT, exactly."""
+    m_count = _node_count(t)
+    rows = np.random.default_rng(t).normal(size=(2, m_count // 2 + 1))
+    ext = np.empty((2, m_count))
+    ext[:, : m_count // 2 + 1] = rows
+    out = np.empty((2, m_count // 2 + 1), dtype=np.complex128)
+    assert _dct1(ext, out) is out
+    assert np.array_equal(out.real, dct(rows, type=1))
 
 
 @pytest.mark.parametrize("t", [37, 70, 1100])

@@ -13,6 +13,7 @@ from conftest import (
     PARAMS_CANONICAL,
     REGRESSION_GRID,
 )
+from scipy.integrate import cumulative_trapezoid
 
 from qwalk import (
     Distribution,
@@ -207,6 +208,19 @@ def test_cdf_table_ends_at_unit_mass(params, coin, law_kind, n):
     _, cdf = _cdf_table(make_limit_law(law_kind, params, coin, n=n))
     assert cdf[0] == 0.0
     assert abs(cdf[-1] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "params, coin, law_kind, n",
+    [(params, coin, kind, n) for params, coin, _, kind, n in REGRESSION_GRID],
+)
+def test_cdf_table_matches_scipy_cumulative_trapezoid(params, coin, law_kind, n):
+    """The numpy cumulative trapezoid is scipy's, bit for bit."""
+    law = make_limit_law(law_kind, params, coin, n=n)
+    xs, cdf = _cdf_table(law)
+    theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, xs.size)
+    ref = cumulative_trapezoid(law.substituted_density(theta), theta, initial=0.0)
+    assert np.array_equal(cdf, ref)
 
 
 def test_cdf_table_cache_is_bounded():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
     closed_form_cdf,
 )
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import roots_legendre
 
 from qwalk import (
     CoinSpinor,
@@ -38,6 +40,7 @@ from qwalk import (
     support_halfwidth,
     support_polynomial,
 )
+from qwalk.limitlaw import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS, _spectral_nodes
 
 SPECIAL_POINTS = (
     (0, WalkParams(SQ2, math.pi / 2)),
@@ -439,6 +442,75 @@ def test_spectral_moment_refuses_special_parameters():
         spectral_limit_moment(1, PARAMS_SPECIAL, COIN_BAL)
     with pytest.raises(ValueError):
         spectral_limit_moment(-1, PARAMS_CANONICAL, COIN_BAL)
+
+
+def _uncached_spectral_moment(r, params, coin):
+    """The spectral route as one uncached computation, term for term."""
+    n_nodes = 4096
+    k = -np.pi + 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    rr0 = params.rho * params.rho0
+    s = rr0 * (np.sin(k) - math.sin(params.nu))
+    gap_sq = 1.0 - s * s
+    root = np.sqrt(gap_sq)
+    velocity = rr0 * np.cos(k) / root
+    d = -params.rho**2 * cmath.exp(1j * params.nu) + params.rho0**2 * np.exp(
+        -1j * k
+    )
+    re_c = rr0 * (np.cos(k) + math.cos(params.nu))
+    half = cmath.exp(0.5j * params.nu)
+    phi0 = half * coin.a0
+    phi1 = half.conjugate() * coin.a1
+    total = np.zeros_like(k)
+    for sgn, vel_sign in ((1.0, -1.0), (-1.0, 1.0)):
+        norm_main = 2.0 * (gap_sq + sgn * re_c * root)
+        norm_alt = 2.0 * (gap_sq - sgn * re_c * root)
+        num_main = np.abs(np.conj(d) * phi0 + (re_c + sgn * root) * phi1) ** 2
+        num_alt = np.abs(-(re_c - sgn * root) * phi0 + d * phi1) ** 2
+        use_main = norm_main >= norm_alt
+        weight = np.where(use_main, num_main, num_alt) / np.where(
+            use_main, norm_main, norm_alt
+        )
+        total = total + (vel_sign * velocity) ** r * weight
+    return float(np.mean(total))
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS)
+def test_spectral_moment_cache_returns_uncached_values(params):
+    """An r-sweep served from the node cache changes no bit of the result."""
+    for coin in (COIN_BAL, COIN_GEN, COIN_RIGHT):
+        for r in range(5):
+            assert spectral_limit_moment(r, params, coin) == (
+                _uncached_spectral_moment(r, params, coin)
+            )
+
+
+def test_spectral_node_cache_is_read_only_and_bounded():
+    arrays = _spectral_nodes(WalkParams(0.6, 1.0), COIN_GEN)
+    assert len(arrays) == 3
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _spectral_nodes(WalkParams(0.6, 1.0), COIN_GEN)[0] is arrays[0]
+    assert _spectral_nodes.cache_info().maxsize is not None
+
+
+def test_spectral_moment_refuses_special_parameters_on_every_call():
+    """The refusal is not cached: each call computes again and raises."""
+    before = _spectral_nodes.cache_info()
+    for r in (1, 1, 2):
+        with pytest.raises(DegenerateSymbolError):
+            spectral_limit_moment(r, PARAMS_SPECIAL, COIN_BAL)
+    after = _spectral_nodes.cache_info()
+    assert after.misses == before.misses + 3
+    assert after.currsize == before.currsize
+
+
+def test_legendre_literals_are_scipys_rule():
+    """The hard-coded 16-point rule is scipy's to the last bit."""
+    nodes, weights = roots_legendre(16)
+    assert np.array_equal(_LEGENDRE_NODES, nodes)
+    assert np.array_equal(_LEGENDRE_WEIGHTS, weights)
 
 
 def test_overlap_weights_partition_unity():
