@@ -4,93 +4,18 @@ Exact lattice and momentum-space evolution, closed-form long-time limit
 densities, and quantitative convergence checks between the two.
 """
 
-from .walk import (
-    VARIANTS,
-    WalkParams,
-    CoinSpinor,
-    WaveState,
-    Distribution,
-    initial_state,
-    step_full,
-    step_cmv_only,
-    swap_coin,
-    evolve,
-    distribution,
-)
-from .fourier import (
-    DegenerateSymbolError,
-    EigenSystem,
-    phase_rotation,
-    momentum_symbol,
-    shifted_symbol,
-    eigensystem,
-    group_velocity,
-    evolve_fourier,
-)
-from .limitlaw import (
-    LAW_KINDS,
-    OutOfSupportError,
-    LimitLaw,
-    make_limit_law,
-    support_polynomial,
-    branch_radicand,
-    coin_weight,
-    support_halfwidth,
-    extremal_momentum,
-    momentum_branch,
-    momentum_branch_derivative,
-    spectral_limit_moment,
-    overlap_weight,
-)
-from .harness import (
-    ComparisonReport,
-    empirical_moment,
-    kolmogorov_distance,
-    rescaled_density_points,
-    envelope_deviation,
-    run_comparison,
-)
+from . import fourier, harness, limitlaw, walk
+from .fourier import *
+from .harness import *
+from .limitlaw import *
+from .walk import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "VARIANTS",
-    "WalkParams",
-    "CoinSpinor",
-    "WaveState",
-    "Distribution",
-    "initial_state",
-    "step_full",
-    "step_cmv_only",
-    "swap_coin",
-    "evolve",
-    "distribution",
-    "DegenerateSymbolError",
-    "EigenSystem",
-    "phase_rotation",
-    "momentum_symbol",
-    "shifted_symbol",
-    "eigensystem",
-    "group_velocity",
-    "evolve_fourier",
-    "LAW_KINDS",
-    "OutOfSupportError",
-    "LimitLaw",
-    "make_limit_law",
-    "support_polynomial",
-    "branch_radicand",
-    "coin_weight",
-    "support_halfwidth",
-    "extremal_momentum",
-    "momentum_branch",
-    "momentum_branch_derivative",
-    "spectral_limit_moment",
-    "overlap_weight",
-    "ComparisonReport",
-    "empirical_moment",
-    "kolmogorov_distance",
-    "rescaled_density_points",
-    "envelope_deviation",
-    "run_comparison",
+    *walk.__all__,
+    *fourier.__all__,
+    *limitlaw.__all__,
+    *harness.__all__,
     "__version__",
 ]

@@ -99,7 +99,7 @@ class RunConfig:
     params: WalkParams | None = None
     coin: CoinSpinor | None = None
     t: int = 0
-    variant: str = "full"
+    variant: str = VARIANTS[0]
     law: str = "theorem1"
     n: int = 0
     grid: tuple[float, float, int, float, float, int] | None = None
@@ -181,10 +181,8 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         a0=parse_complex(options.get("alpha", "1,0")),
         a1=parse_complex(options.get("beta", "0,0")),
     )
-    if not abs(coin.norm_sq() - 1.0) <= 1e-9:
-        raise ValueError("coin amplitudes must be normalised to 1 within 1e-9")
 
-    variant = options.get("variant", "full")
+    variant = options.get("variant", VARIANTS[0])
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     law = options.get("law", "theorem1")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import CoinSpinor, WalkParams, WaveState, initial_state
+from .walk import VARIANTS, CoinSpinor, WalkParams, WaveState, initial_state
 
 __all__ = [
     "DegenerateSymbolError",
@@ -64,6 +64,11 @@ _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
 
 class DegenerateSymbolError(ValueError):
     """Raised when the two symbol eigenvalues collide at a momentum."""
+
+
+def _like_input(x, out):
+    """``out`` as a float when ``x`` is a scalar, else ``out`` unchanged."""
+    return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +166,39 @@ def _gap_parts(cos_k, sin_k, params: WalkParams):
     return s, one_plus * one_minus
 
 
+def _kernel_rows(d, re_c, root, gap_sq):
+    """Unnormalised eigenvectors of the shifted symbol, ``+`` branch first.
+
+    Returns ``(rows, normalizers)`` for scalar or array inputs alike:
+    ``rows`` yields the component pair of each branch's eigenvector, one
+    branch at a time, and ``normalizers`` holds ``2*(gap_sq +/- re_c*root)``,
+    the squared norms of the kernel rows ``(d, re_c +/- root)``.  Where a
+    branch's own row is the shorter one, it takes the complementary row
+    ``(-(re_c -/+ root), conj(d))`` instead, so both eigenvectors have
+    squared norm ``max(normalizers)``, nonzero whenever ``gap_sq`` is.
+    """
+    cross = re_c * root
+    normalizers = (2.0 * (gap_sq + cross), 2.0 * (gap_sq - cross))
+
+    def rows():
+        # One branch at a time, so a caller that consumes them in turn
+        # never holds all four components of the momentum grid at once.
+        for j, sgn in enumerate((1.0, -1.0)):
+            own = normalizers[j] >= normalizers[1 - j]
+            yield (
+                np.where(own, d, -(re_c - sgn * root)),
+                np.where(own, re_c + sgn * root, np.conj(d)),
+            )
+
+    return rows(), normalizers
+
+
 def eigensystem(k: float, params: WalkParams) -> EigenSystem:
     """Analytic spectral decomposition of the shifted symbol at ``k``.
 
     Both eigenvectors come from closed-form kernel rows, not a generic
-    eigensolver.  For each branch the construction picks whichever of
-    the two row formulas has the larger squared norm, so it stays stable
-    at the isolated momenta where one closed-form normalizer vanishes.
+    eigensolver (:func:`_kernel_rows`), so they stay stable at the
+    isolated momenta where one closed-form normalizer vanishes.
 
     Raises
     ------
@@ -189,29 +220,15 @@ def eigensystem(k: float, params: WalkParams) -> EigenSystem:
         -params.rho**2 * cmath.exp(1j * params.nu)
         + params.rho0**2 * cmath.exp(-1j * float(k))
     )
-    rr0 = params.rho * params.rho0
-    re_c = rr0 * (math.cos(float(k)) + math.cos(params.nu))
-    normalizers = np.array(
-        [2.0 * (gap_sq + re_c * root), 2.0 * (gap_sq - re_c * root)]
-    )
-    vectors = np.empty((2, 2), dtype=np.complex128)
-    for j, sgn in enumerate((1.0, -1.0)):
-        if normalizers[j] >= normalizers[1 - j]:
-            vec = np.array([d, re_c + sgn * root], dtype=np.complex128)
-            nrm = normalizers[j]
-        else:
-            # complementary kernel row for the same eigenvalue
-            vec = np.array(
-                [-(re_c - sgn * root), d.conjugate()], dtype=np.complex128
-            )
-            nrm = normalizers[1 - j]
-        vectors[:, j] = vec / math.sqrt(nrm)
+    re_c = params.rho * params.rho0 * (math.cos(float(k)) + math.cos(params.nu))
+    rows, normalizers = _kernel_rows(d, re_c, root, gap_sq)
+    vectors = np.array(list(rows)).T / math.sqrt(max(normalizers))
     return EigenSystem(
         k=float(k),
         values=values,
         vectors=vectors,
         gap_sq=gap_sq,
-        normalizers=normalizers,
+        normalizers=np.array(normalizers),
     )
 
 
@@ -224,10 +241,7 @@ def group_velocity(k, params: WalkParams):
     k_arr = np.asarray(k, dtype=float)
     cos_k = np.cos(k_arr)
     s, gap_sq = _gap_parts(cos_k, np.sin(k_arr), params)
-    out = params.rho * params.rho0 * cos_k / np.sqrt(gap_sq)
-    if np.ndim(k) == 0:
-        return float(out)
-    return out
+    return _like_input(k, params.rho * params.rho0 * cos_k / np.sqrt(gap_sq))
 
 
 def _swap_free_gap(cos_k, sin_k, params: WalkParams):
@@ -321,7 +335,7 @@ def _dct1(ext: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def evolve_fourier(
-    coin: CoinSpinor, params: WalkParams, t: int, variant: str = "full"
+    coin: CoinSpinor, params: WalkParams, t: int, variant: str = VARIANTS[0]
 ) -> WaveState:
     """Evolve ``t`` steps exactly through the symbol's Chebyshev form.
 
@@ -346,21 +360,21 @@ def evolve_fourier(
     Raises
     ------
     ValueError
-        If ``t`` is negative or above :data:`MAX_STEPS`, the variant is
-        unknown, or the coin is not normalised; all before any array of
-        size ``M`` is built.
+        If ``t`` is negative or above :data:`MAX_STEPS`, or the variant
+        is not one of :data:`~qwalk.walk.VARIANTS`; both before any array
+        of size ``M`` is built.  ``coin`` has unit norm:
+        :class:`~qwalk.walk.CoinSpinor` refuses any other.
     """
     if t < 0:
         raise ValueError("step count must be nonnegative")
     if t > MAX_STEPS:
         raise ValueError(f"step count {t} exceeds the limit of {MAX_STEPS}")
-    if variant not in ("full", "cmv_only"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if t == 0:
         return initial_state(coin)
 
-    if not abs(coin.norm_sq() - 1.0) <= 1e-9:
-        raise ValueError("initial coin state must have unit norm")
+    full_walk = variant == VARIANTS[0]
     m_count = _node_count(t)
     half_m = m_count // 2
     n_sites = 2 * t + 1
@@ -385,7 +399,7 @@ def evolve_fourier(
     rr0 = params.rho * params.rho0
     rho2, rho02 = params.rho**2, params.rho0**2
 
-    if variant == "full":
+    if full_walk:
         # At k = pi/2 - theta, sin k = cos theta, and the coefficient of
         # U at site x is 1j**x times its DCT value at |x|, over M.
         s, gap_sq = _gap_parts(sin_th, cos_th, params)
@@ -440,7 +454,7 @@ def evolve_fourier(
         basis[:centre, j] = row[centre:0:-1]
     weights /= m_count
     rows = (basis @ weights.view(np.float64)).view(np.complex128)
-    if variant == "full":
+    if full_walk:
         phase = shared[: 2 * n_sites].view(np.complex128)
         np.multiply(1j * params.nu, np.arange(-t, t + 1), out=phase)
         np.exp(phase, out=phase)

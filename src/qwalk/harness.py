@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import evolve_fourier
-from .limitlaw import LimitLaw, make_limit_law
-from .walk import CoinSpinor, Distribution, WalkParams, distribution
+from .limitlaw import VARIANT_LAWS, LimitLaw, make_limit_law
+from .walk import VARIANTS, CoinSpinor, Distribution, WalkParams, distribution
 
 __all__ = [
     "ComparisonReport",
@@ -27,9 +27,6 @@ __all__ = [
     "envelope_deviation",
     "run_comparison",
 ]
-
-#: Law kinds admissible for each evolution variant.
-VARIANT_LAWS = {"full": ("theorem1", "standard"), "cmv_only": ("cmv_only",)}
 
 _CDF_GRID_NODES = 8193
 _SMOOTHING_WIDTH = 5
@@ -132,7 +129,7 @@ def run_comparison(
     params: WalkParams,
     coin: CoinSpinor,
     t: int,
-    variant: str = "full",
+    variant: str = VARIANTS[0],
     law_kind: str = "theorem1",
     n: int = 0,
     moments: tuple[int, ...] = (1, 2),

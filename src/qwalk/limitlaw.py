@@ -17,24 +17,27 @@ This module evaluates that law and every scalar function entering it:
   momentum-space spectral decomposition, an independent route used to
   cross-check the quadrature of the density.
 
-Three law kinds are built by :func:`make_limit_law`:
+Three law kinds (:data:`LAW_KINDS`) are built by :func:`make_limit_law`:
 
-``"theorem1"``
+``theorem1``
     the general law, valid for every parameter pair;
-``"standard"``
+``standard``
     the two-branch special-parameter law (``rho = 1/sqrt(2)``,
     ``nu = pi/2 + n*pi``), with sign index ``n``;
-``"cmv_only"``
+``cmv_only``
     the law of the swap-free walk variant.
 
-Densities diverge like an inverse square root at the support edges, so
-cdf/moment quadrature substitutes ``x = support_hi * sin(theta)``; the
-substituted integrand (:meth:`LimitLaw.substituted_density`) is finite
-on the closed theta-interval and is evaluated with the vanishing edge
-factor cancelled analytically, so it keeps its digits up to the edges.
-One composite Gauss-Legendre rule per law, 64 equal theta-panels of 16
-nodes, integrates it; equal panels keep the error local where the
-integrand varies fast, next to the special parameter set.
+Densities diverge like an inverse square root at the support edges.
+Each law has one formula, its edge form: the density times the chord
+``sqrt(h*^2 - x^2)``, written with the vanishing edge factor cancelled
+analytically, so it is finite up to the edges and keeps its digits
+there.  :meth:`LimitLaw.density` divides it by the chord, and cdf/moment
+quadrature substitutes ``x = h* sin(theta)``, where the chord is
+``h* cos(theta)`` and the integrand is the edge form itself
+(:meth:`LimitLaw.substituted_density`).  One composite Gauss-Legendre
+rule per law, 64 equal theta-panels of 16 nodes, integrates it; equal
+panels keep the error local where the integrand varies fast, next to
+the special parameter set.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier import DegenerateSymbolError
+from .fourier import DegenerateSymbolError, _kernel_rows, _like_input
 from .walk import CoinSpinor, WalkParams
 
 __all__ = [
@@ -62,10 +65,11 @@ __all__ = [
     "momentum_branch",
     "momentum_branch_derivative",
     "spectral_limit_moment",
-    "overlap_weight",
 ]
 
-LAW_KINDS = ("theorem1", "standard", "cmv_only")
+#: Law kinds admissible for each evolution variant of :mod:`qwalk.walk`.
+VARIANT_LAWS = {"full": ("theorem1", "standard"), "cmv_only": ("cmv_only",)}
+LAW_KINDS = tuple(kind for kinds in VARIANT_LAWS.values() for kind in kinds)
 
 _SPECTRAL_NODES = 4096
 # Radicand values below this are analytic zeros buried in rounding noise
@@ -117,9 +121,7 @@ def support_polynomial(x, params: WalkParams):
     out = (rho_sq - x_sq) * (rho0_sq - x_sq) - rho_sq * rho0_sq * math.cos(
         params.nu
     ) ** 2 * x_sq
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, out)
 
 
 def _radicand_given_root(x_sq, sqrt_xi, params: WalkParams, sign: int):
@@ -148,10 +150,7 @@ def branch_radicand(x, params: WalkParams, sign: int):
     if np.any(np.asarray(xi) < 0.0):
         raise OutOfSupportError("argument outside the support interval")
     x_sq = np.square(np.asarray(x, dtype=float))
-    out = _radicand_given_root(x_sq, np.sqrt(xi), params, sign)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, _radicand_given_root(x_sq, np.sqrt(xi), params, sign))
 
 
 def _coin_cross(coin: CoinSpinor) -> complex:
@@ -175,9 +174,7 @@ def coin_weight(x, params: WalkParams, coin: CoinSpinor):
     - Im(a0 conj(a1)) sin(nu))``.
     """
     out = 1.0 + _general_coefficient(params, coin) * np.asarray(x, dtype=float)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, out)
 
 
 def support_halfwidth(params: WalkParams) -> float:
@@ -201,6 +198,16 @@ def extremal_momentum(params: WalkParams) -> float:
     return math.asin(max(-1.0, min(1.0, num / (2.0 * p * p * sv))))
 
 
+def _branch_argument(x, params: WalkParams, sign: int) -> np.ndarray:
+    """``x`` as a float array, once ``sign`` is +-1 and every ``|x| < h*``."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(np.abs(x_arr) >= support_halfwidth(params)):
+        raise OutOfSupportError("argument outside the open support interval")
+    return x_arr
+
+
 def momentum_branch(x, params: WalkParams, sign: int):
     """Inverse branch ``k_sign(x)`` of the group velocity, principal arcsin.
 
@@ -214,20 +221,13 @@ def momentum_branch(x, params: WalkParams, sign: int):
     OutOfSupportError
         If any ``|x| >= h*``.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    hstar = support_halfwidth(params)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(x_arr) >= hstar):
-        raise OutOfSupportError("argument outside the open support interval")
+    x_arr = _branch_argument(x, params, sign)
     p = params.rho * params.rho0
     sv = math.sin(params.nu)
     xi = support_polynomial(x_arr, params)
     num = -p * sv * np.square(x_arr) + sign * np.sqrt(np.maximum(xi, 0.0))
     out = np.arcsin(np.clip(num / (p * (1.0 - np.square(x_arr))), -1.0, 1.0))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, out)
 
 
 def momentum_branch_derivative(x, params: WalkParams, sign: int):
@@ -236,20 +236,13 @@ def momentum_branch_derivative(x, params: WalkParams, sign: int):
     Matches the derivative of :func:`momentum_branch` on the positive
     half of the support (see there for the even-function convention).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    hstar = support_halfwidth(params)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(x_arr) >= hstar):
-        raise OutOfSupportError("argument outside the open support interval")
+    x_arr = _branch_argument(x, params, sign)
     xi = np.maximum(support_polynomial(x_arr, params), 0.0)
     eta = _radicand_given_root(np.square(x_arr), np.sqrt(xi), params, sign)
     out = -sign * np.sqrt(np.maximum(eta, 0.0)) / (
         (1.0 - np.square(x_arr)) * np.sqrt(xi)
     )
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _like_input(x, out)
 
 
 @dataclass(frozen=True)
@@ -268,29 +261,44 @@ class LimitLaw:
     support_hi: float
     coeff: float
 
+    def _edge_form(self, xs, chord):
+        """``density(xs) * chord`` for ``chord = sqrt(h*^2 - xs^2)``, ``|xs| <= h*``.
+
+        Equals ``(1 +- coeff*h*) / (pi sqrt(1 - h*^2))`` at the edges for
+        every kind.  The chord is cancelled analytically, so no value
+        near an edge loses digits to ``h*^2 - x^2``.
+        """
+        vals = (1.0 + self.coeff * xs) / (np.pi * (1.0 - np.square(xs)))
+        hi = self.support_hi
+        if self.kind == "theorem1":
+            return vals * _theorem1_radical_ratio(self.params, hi, chord)
+        return vals * math.sqrt(1.0 - hi * hi)
+
     def density(self, x):
-        """Density value(s) at ``x``; zero outside the open support."""
+        """Density value(s) at ``x``; zero outside the open support.
+
+        The edge form over the chord ``sqrt((h* - |x|)(h* + |x|))``, a
+        product of two accurate factors.
+        """
         x_arr = np.asarray(x, dtype=float)
-        out = _DENSITY_FUNCS[self.kind](self, x_arr)
-        if x_arr.ndim == 0:
-            return float(out)
-        return out
+        hi = self.support_hi
+        inside = np.abs(x_arr) < hi
+        # Outside points are evaluated at 0 and dropped, so no division
+        # there can overflow or divide by zero.
+        xs = np.where(inside, x_arr, 0.0)
+        chord = np.sqrt((hi - np.abs(xs)) * (hi + np.abs(xs)))
+        out = np.where(inside, self._edge_form(xs, chord) / chord, 0.0)
+        return _like_input(x, out)
 
     def substituted_density(self, theta):
         """Density in the edge angle: ``density(h* sin(theta)) * h* cos(theta)``.
 
-        Finite on the closed interval ``[-pi/2, pi/2]``, edges included,
-        where it equals ``(1 +- coeff*h*) / (pi sqrt(1 - h*^2))`` for every
-        kind.  The ``cos(theta)`` factor is cancelled analytically, so no
-        value near an edge loses digits to ``h*^2 - x^2``.
+        The edge form at ``x = h* sin(theta)``, finite on the closed
+        interval ``[-pi/2, pi/2]``, edges included.
         """
         theta = np.asarray(theta, dtype=float)
         hi = self.support_hi
-        xs = hi * np.sin(theta)
-        vals = (1.0 + self.coeff * xs) / (np.pi * (1.0 - np.square(xs)))
-        if self.kind == "theorem1":
-            return vals * _theorem1_radical_ratio(self.params, hi, hi * np.cos(theta))
-        return vals * math.sqrt(1.0 - hi * hi)
+        return self._edge_form(hi * np.sin(theta), hi * np.cos(theta))
 
     @cached_property
     def _weighted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -325,10 +333,7 @@ class LimitLaw:
         cum = np.concatenate(([0.0], np.cumsum(panels)))
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        out = cum[rank[_PANEL_EDGES.size :]].reshape(x_arr.shape)
-        if x_arr.ndim == 0:
-            return float(out)
-        return out
+        return _like_input(x, cum[rank[_PANEL_EDGES.size :]].reshape(x_arr.shape))
 
     def moment(self, r: int) -> float:
         """r-th moment of the law, ``r >= 0``."""
@@ -377,9 +382,9 @@ def make_limit_law(
     Parameters
     ----------
     kind:
-        One of ``"theorem1"``, ``"standard"``, ``"cmv_only"``.
+        One of :data:`LAW_KINDS`.
     params, coin:
-        Walk parameters and normalised initial coin.
+        Walk parameters and initial coin.
     n:
         Branch index of the standard law; must satisfy
         ``nu = pi/2 + n*pi`` (mod 2pi).  Ignored by the other kinds.
@@ -387,13 +392,11 @@ def make_limit_law(
     Raises
     ------
     ValueError
-        On unknown kind, non-normalised coin, or a standard law
-        requested away from its special parameter set.
+        On unknown kind, or a standard law requested away from its
+        special parameter set.
     """
     if kind not in LAW_KINDS:
         raise ValueError(f"unknown law kind {kind!r}")
-    if abs(coin.norm_sq() - 1.0) > 1e-9:
-        raise ValueError("coin state must have unit norm")
     cross = _coin_cross(coin)
     base = abs(coin.a0) ** 2 - abs(coin.a1) ** 2
     if kind == "theorem1":
@@ -426,86 +429,6 @@ def make_limit_law(
     )
 
 
-def _density_theorem1(law: LimitLaw, x_arr: np.ndarray) -> np.ndarray:
-    params = law.params
-    xi = np.asarray(support_polynomial(x_arr, params))
-    mask = (np.abs(x_arr) < law.support_hi) & (xi > 0.0)
-    sqrt_xi = np.sqrt(np.where(mask, xi, 1.0))
-    x_sq = np.square(x_arr)
-    eta_pos = _radicand_given_root(x_sq, sqrt_xi, params, 1)
-    eta_neg = _radicand_given_root(x_sq, sqrt_xi, params, -1)
-    eta_pos = np.where(eta_pos < _RADICAND_CLAMP, 0.0, eta_pos)
-    eta_neg = np.where(eta_neg < _RADICAND_CLAMP, 0.0, eta_neg)
-    weight = 1.0 + law.coeff * x_arr
-    denom = np.where(mask, 2.0 * np.pi * (1.0 - x_sq) * sqrt_xi, 1.0)
-    vals = (np.sqrt(eta_pos) + np.sqrt(eta_neg)) * weight / denom
-    return np.where(mask, vals, 0.0)
-
-
-def _density_standard(law: LimitLaw, x_arr: np.ndarray) -> np.ndarray:
-    x_sq = np.square(x_arr)
-    rad = 1.0 - 2.0 * x_sq
-    mask = (np.abs(x_arr) < law.support_hi) & (rad > 0.0)
-    denom = np.where(mask, np.pi * (1.0 - x_sq) * np.sqrt(np.where(mask, rad, 1.0)), 1.0)
-    vals = (1.0 + law.coeff * x_arr) / denom
-    return np.where(mask, vals, 0.0)
-
-
-def _density_cmv_only(law: LimitLaw, x_arr: np.ndarray) -> np.ndarray:
-    x_sq = np.square(x_arr)
-    rad = law.params.rho0**2 - x_sq
-    mask = (np.abs(x_arr) < law.support_hi) & (rad > 0.0)
-    denom = np.where(mask, np.pi * (1.0 - x_sq) * np.sqrt(np.where(mask, rad, 1.0)), 1.0)
-    vals = law.params.rho * (1.0 + law.coeff * x_arr) / denom
-    return np.where(mask, vals, 0.0)
-
-
-_DENSITY_FUNCS = {
-    "theorem1": _density_theorem1,
-    "standard": _density_standard,
-    "cmv_only": _density_cmv_only,
-}
-
-
-def overlap_weight(i: int, sign: int, nu_arg: float, k, params: WalkParams):
-    """Closed-form spectral overlap helpers ``F_{i,sign}(nu_arg; k)``.
-
-    For ``i`` in 0..3 and ``sign`` +1/-1, with
-    ``root = sqrt(1 - rho^2 rho0^2 (sin k - sin nu_arg)^2)``:
-
-    * ``i=0``: ``1/2 - sign * rho rho0 (cos k + cos nu_arg) / (2 root)``
-    * ``i=1``: ``1/2 + sign * rho rho0 (cos k + cos nu_arg) / (2 root)``
-    * ``i=2``: ``sign * (rho0^2 cos k - rho^2 cos nu_arg) / root``
-    * ``i=3``: ``sign * (rho0^2 sin k + rho^2 sin nu_arg) / root``
-
-    These combine the squared eigenvector overlaps of the shifted symbol
-    into coin-independent pieces; used in verification only.
-    """
-    if i not in (0, 1, 2, 3):
-        raise ValueError("helper index must be 0, 1, 2 or 3")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    k_arr = np.asarray(k, dtype=float)
-    rr0 = params.rho * params.rho0
-    s = rr0 * (np.sin(k_arr) - math.sin(nu_arg))
-    root = np.sqrt(1.0 - s * s)
-    if i == 0:
-        out = 0.5 - sign * rr0 * (np.cos(k_arr) + math.cos(nu_arg)) / (2.0 * root)
-    elif i == 1:
-        out = 0.5 + sign * rr0 * (np.cos(k_arr) + math.cos(nu_arg)) / (2.0 * root)
-    elif i == 2:
-        out = sign * (
-            params.rho0**2 * np.cos(k_arr) - params.rho**2 * math.cos(nu_arg)
-        ) / root
-    else:
-        out = sign * (
-            params.rho0**2 * np.sin(k_arr) + params.rho**2 * math.sin(nu_arg)
-        ) / root
-    if np.ndim(k) == 0:
-        return float(out)
-    return out
-
-
 # Each entry holds three 4096-node arrays (96 KB): an r-sweep over one
 # (params, coin) pair reuses them, and a run over many pairs stays bounded.
 @lru_cache(maxsize=16)
@@ -533,23 +456,17 @@ def _spectral_nodes(
         -1j * k
     )
     re_c = rr0 * (np.cos(k) + math.cos(params.nu))
+    rows, normalizers = _kernel_rows(d, re_c, root, gap_sq)
+    norm = np.maximum(*normalizers)
     half = cmath.exp(0.5j * params.nu)
     phi0 = half * coin.a0
     phi1 = half.conjugate() * coin.a1
-    weights = []
-    for sgn in (1.0, -1.0):
-        norm_main = 2.0 * (gap_sq + sgn * re_c * root)
-        norm_alt = 2.0 * (gap_sq - sgn * re_c * root)
-        num_main = np.abs(np.conj(d) * phi0 + (re_c + sgn * root) * phi1) ** 2
-        num_alt = np.abs(-(re_c - sgn * root) * phi0 + d * phi1) ** 2
-        use_main = norm_main >= norm_alt
-        weights.append(
-            np.where(use_main, num_main, num_alt)
-            / np.where(use_main, norm_main, norm_alt)
-        )
-    for arr in (velocity, *weights):
+    weight_plus, weight_minus = (
+        np.abs(np.conj(v0) * phi0 + np.conj(v1) * phi1) ** 2 / norm for v0, v1 in rows
+    )
+    for arr in (velocity, weight_plus, weight_minus):
         arr.flags.writeable = False
-    return velocity, weights[0], weights[1]
+    return velocity, weight_plus, weight_minus
 
 
 def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float:

@@ -32,9 +32,6 @@ __all__ = [
     "distribution",
 ]
 
-#: Recognised evolution variants: the full walk and the swap-free walk.
-VARIANTS = ("full", "cmv_only")
-
 _COIN_NORM_TOL = 1e-9
 # evolve() sets amplitudes with |amp|**2 below this to exact zero after
 # each step.  Far beyond the ballistic front amplitudes decay without
@@ -77,12 +74,15 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class CoinSpinor:
-    """Internal two-component amplitude pair ``(a0, a1)``.
+    """Internal two-component amplitude pair ``(a0, a1)`` of unit norm.
+
+    Evolutions and limit laws rely on this check and do not repeat it.
 
     Raises
     ------
     ValueError
-        If either amplitude is not finite.
+        If either amplitude is not finite, or ``|a0|**2 + |a1|**2``
+        differs from 1 by more than 1e-9.
     """
 
     a0: complex
@@ -92,6 +92,11 @@ class CoinSpinor:
         if not (cmath.isfinite(self.a0) and cmath.isfinite(self.a1)):
             raise ValueError(
                 f"coin amplitudes must be finite, got ({self.a0}, {self.a1})"
+            )
+        if not abs(self.norm_sq() - 1.0) <= _COIN_NORM_TOL:
+            raise ValueError(
+                "coin amplitudes must have unit norm within 1e-9, got"
+                f" |a0|^2 + |a1|^2 = {self.norm_sq()!r}"
             )
 
     def norm_sq(self) -> float:
@@ -165,13 +170,8 @@ def _coin_factors(params: WalkParams) -> tuple[np.ndarray, np.ndarray]:
 def initial_state(coin: CoinSpinor) -> WaveState:
     """Point mass at the origin carrying ``coin`` as internal state.
 
-    Raises
-    ------
-    ValueError
-        If the coin amplitudes are not normalised to 1 within 1e-9.
+    ``coin`` has unit norm: :class:`CoinSpinor` refuses any other.
     """
-    if not abs(coin.norm_sq() - 1.0) <= _COIN_NORM_TOL:
-        raise ValueError("initial coin state must have unit norm")
     return WaveState(time=0, x_min=0, amps=coin.as_array().reshape(1, 2))
 
 
@@ -227,10 +227,13 @@ def swap_coin(state: WaveState) -> WaveState:
 
 
 _STEP_FUNCS = {"full": step_full, "cmv_only": step_cmv_only}
+#: Recognised evolution variants: the full walk (the default) and the
+#: swap-free walk.
+VARIANTS = tuple(_STEP_FUNCS)
 
 
 def evolve(
-    coin: CoinSpinor, params: WalkParams, t: int, variant: str = "full"
+    coin: CoinSpinor, params: WalkParams, t: int, variant: str = VARIANTS[0]
 ) -> WaveState:
     """Evolve the point-mass initial condition for ``t`` steps.
 
@@ -243,8 +246,8 @@ def evolve(
     t:
         Number of steps, ``t >= 0``.
     variant:
-        ``"full"`` for the complete walk or ``"cmv_only"`` for the
-        variant without the per-site component swap.
+        One of :data:`VARIANTS`: ``full`` for the complete walk or
+        ``cmv_only`` for the variant without the per-site component swap.
 
     Returns
     -------

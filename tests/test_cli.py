@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,14 @@ from qwalk import (
     run_comparison,
     support_halfwidth,
 )
-from qwalk.cli import _json_text, main, parse_angle, parse_complex, report_from_dict
+from qwalk.cli import (
+    _json_text,
+    main,
+    parse_angle,
+    parse_complex,
+    report_from_dict,
+    report_to_dict,
+)
 from qwalk.fourier import MAX_STEPS
 
 CANON_FLAGS = ["--rho", "0.70710678118654757", "--nu", "pi/4"]
@@ -479,6 +487,37 @@ def test_compare_rendering_is_byte_identical(
     assert text == expected
 
 
+@pytest.mark.parametrize(
+    "params, coin, variant, law_kind, n",
+    [
+        (WalkParams(0.85, -1.3), CoinSpinor(0.6, 0.8j), "full", "theorem1", 0),
+        (WalkParams(SQ2, 3 * math.pi / 2), COIN_RIGHT, "full", "standard", 1),
+        (WalkParams(0.3, 0.7), COIN_BAL, "cmv_only", "cmv_only", 0),
+    ],
+)
+def test_report_dict_round_trips_and_is_the_compare_json(
+    tmp_path, params, coin, variant, law_kind, n
+):
+    """``report_from_dict`` inverts ``report_to_dict`` field for field, and
+    the spliced JSON that ``compare`` writes parses to that same dict."""
+    t = 120
+    report = run_comparison(params, coin, t, variant=variant, law_kind=law_kind, n=n)
+    data = report_to_dict(report)
+    back = report_from_dict(data)
+    for field in dataclasses.fields(report):
+        want, got = getattr(report, field.name), getattr(back, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+    text = _cli_text(
+        tmp_path, "json", "compare", "--rho", repr(params.rho), "--nu", repr(params.nu),
+        *_coin_flags(coin), "--variant", variant, "--law", law_kind, "--n", n, "--t", t,
+    )
+    assert json.loads(text) == data
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_density_and_sweep_rendering_is_byte_identical(tmp_path, fmt):
     params = WalkParams(0.85, -1.3)
@@ -725,3 +764,16 @@ def test_package_and_compare_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert out.read_text().startswith("# schema_version,")
+
+
+def test_package_namespace_is_the_submodules_public_names():
+    """``qwalk.__all__`` is the four submodules' ``__all__`` and
+    ``__version__``, each name once, and every name resolves."""
+    modules = (qwalk.walk, qwalk.fourier, qwalk.limitlaw, qwalk.harness)
+    expected = [name for module in modules for name in module.__all__]
+    assert qwalk.__all__ == expected + ["__version__"]
+    assert len(set(qwalk.__all__)) == len(qwalk.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qwalk, name) is getattr(module, name)
+    assert qwalk.__version__ == "0.1.0"

@@ -34,7 +34,6 @@ from qwalk import (
     make_limit_law,
     momentum_branch,
     momentum_branch_derivative,
-    overlap_weight,
     phase_rotation,
     spectral_limit_moment,
     support_halfwidth,
@@ -247,8 +246,9 @@ def test_momentum_branch_rejects_edge_and_beyond():
 def test_make_limit_law_validates_inputs():
     with pytest.raises(ValueError):
         make_limit_law("gaussian", PARAMS_CANONICAL, COIN_BAL)
-    with pytest.raises(ValueError):
-        make_limit_law("theorem1", PARAMS_CANONICAL, CoinSpinor(1.0, 1.0))
+    # a non-unit coin cannot be built, so it never reaches a law
+    with pytest.raises(ValueError, match="unit norm"):
+        CoinSpinor(1.0, 1.0)
     with pytest.raises(ValueError):
         make_limit_law("standard", PARAMS_CANONICAL, COIN_BAL)  # off special set
     with pytest.raises(ValueError):
@@ -376,6 +376,30 @@ def test_substituted_density_edges_and_interior(kind, params, coin, n):
         law.substituted_density(theta),
         law.density(hi * np.sin(theta)) * hi * np.cos(theta),
         rtol=1e-11,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, params, coin, n",
+    [(kind, params, coin, n) for params, coin, _, kind, n in REGRESSION_GRID]
+    + [("theorem1", PARAMS_SPECIAL, COIN_GEN, 0)],
+)
+def test_density_keeps_its_digits_next_to_the_edges(kind, params, coin, n):
+    """``density(x) * sqrt(h^2 - x^2)`` is the substituted density at
+    ``asin(x/h)`` to 1e-13 at relative distances 1e-8 to 1e-12 from
+    either edge: the density cancels the vanishing edge factor just as
+    the CDF's integrand does.
+    """
+    law = make_limit_law(kind, params, coin, n=n)
+    hi = law.support_hi
+    eps = np.array([1e-8, 1e-10, 1e-12])
+    xs = np.concatenate((hi * (1.0 - eps), -hi * (1.0 - eps)))
+    chord = np.sqrt((hi - np.abs(xs)) * (hi + np.abs(xs)))
+    np.testing.assert_allclose(
+        law.density(xs) * chord,
+        law.substituted_density(np.arcsin(xs / hi)),
+        rtol=1e-13,
+        atol=0.0,
     )
 
 
@@ -511,6 +535,45 @@ def test_legendre_literals_are_scipys_rule():
     nodes, weights = roots_legendre(16)
     assert np.array_equal(_LEGENDRE_NODES, nodes)
     assert np.array_equal(_LEGENDRE_WEIGHTS, weights)
+
+
+def overlap_weight(i: int, sign: int, nu_arg: float, k, params: WalkParams):
+    """Closed-form spectral overlap helpers ``F_{i,sign}(nu_arg; k)``.
+
+    For ``i`` in 0..3 and ``sign`` +1/-1, with
+    ``root = sqrt(1 - rho^2 rho0^2 (sin k - sin nu_arg)^2)``:
+
+    * ``i=0``: ``1/2 - sign * rho rho0 (cos k + cos nu_arg) / (2 root)``
+    * ``i=1``: ``1/2 + sign * rho rho0 (cos k + cos nu_arg) / (2 root)``
+    * ``i=2``: ``sign * (rho0^2 cos k - rho^2 cos nu_arg) / root``
+    * ``i=3``: ``sign * (rho0^2 sin k + rho^2 sin nu_arg) / root``
+
+    These combine the squared eigenvector overlaps of the shifted symbol
+    into coin-independent pieces, an oracle for the eigenvectors.
+    """
+    if i not in (0, 1, 2, 3):
+        raise ValueError("helper index must be 0, 1, 2 or 3")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    k_arr = np.asarray(k, dtype=float)
+    rr0 = params.rho * params.rho0
+    s = rr0 * (np.sin(k_arr) - math.sin(nu_arg))
+    root = np.sqrt(1.0 - s * s)
+    if i == 0:
+        out = 0.5 - sign * rr0 * (np.cos(k_arr) + math.cos(nu_arg)) / (2.0 * root)
+    elif i == 1:
+        out = 0.5 + sign * rr0 * (np.cos(k_arr) + math.cos(nu_arg)) / (2.0 * root)
+    elif i == 2:
+        out = sign * (
+            params.rho0**2 * np.cos(k_arr) - params.rho**2 * math.cos(nu_arg)
+        ) / root
+    else:
+        out = sign * (
+            params.rho0**2 * np.sin(k_arr) + params.rho**2 * math.sin(nu_arg)
+        ) / root
+    if np.ndim(k) == 0:
+        return float(out)
+    return out
 
 
 def test_overlap_weights_partition_unity():

@@ -89,8 +89,9 @@ def test_initial_state_keeps_balanced_coin():
 
 
 def test_initial_state_rejects_unnormalised_coin():
-    with pytest.raises(ValueError):
-        initial_state(CoinSpinor(1.0, 1.0))
+    """The coin refuses a non-unit norm itself, so no state can carry one."""
+    with pytest.raises(ValueError, match="unit norm"):
+        CoinSpinor(1.0, 1.0)
 
 
 def test_single_step_distribution_quarter_half_quarter():
