@@ -193,8 +193,6 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     t = 0
     if command in ("simulate", "compare"):
         t = int(_require(options, "t"))
-        if t < 0:
-            raise ValueError("t must be nonnegative")
 
     return RunConfig(
         command=command,

@@ -24,7 +24,11 @@ Conventions used throughout:
   at neighbouring sites.  Those are even trigonometric polynomials of
   degree < t, so a type-I DCT over ``M >= 2*t + 3`` equispaced nodes
   (a real FFT of the even extension) gives them exactly, and the result
-  matches lattice evolution to rounding.
+  matches lattice evolution to rounding.  Sites ``x`` and ``-x`` read
+  the same four coefficients, so one basis over ``|x| <= t`` serves
+  both halves, and the site phase ``exp(1j*nu*x)`` with its powers of
+  ``1j`` is an outer product of about ``sqrt(t)`` block phases and as
+  many in-block ones, each taken without rounding ``nu*x``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ __all__ = [
 
 #: Largest step count evolve_fourier() accepts.  Its arrays grow with
 #: ``t`` and are built before any work starts: a full-walk process
-#: peaks near 200 MB RSS at t = 1e6 and 370 MB at t = 2e6, so a larger
+#: peaks near 150 MB RSS at t = 1e6 and 275 MB at t = 2e6, so a larger
 #: cap could exhaust memory where a lattice run would only have been slow.
 MAX_STEPS = 2_000_000
 
@@ -139,12 +143,21 @@ def _one_plus_minus(sin_y, cos_y):
     """``(1 + sin y, 1 - sin y)``, each to full relative accuracy.
 
     The factor that may be small is formed as ``cos(y)**2`` over the
-    other, which is at least 1, instead of by cancellation.
+    other, which is at least 1, instead of by cancellation.  An array
+    ``sin_y`` gets two new arrays, built in place.
     """
-    big = 1.0 + np.abs(sin_y)
-    small = cos_y * cos_y / big
+    if np.ndim(sin_y) == 0:
+        big = 1.0 + abs(sin_y)
+        small = cos_y * cos_y / big
+        return (big, small) if sin_y >= 0.0 else (small, big)
+    big = np.abs(sin_y)
+    big += 1.0
+    small = np.multiply(cos_y, cos_y)
+    small /= big
     up = sin_y >= 0.0
-    return np.where(up, big, small), np.where(up, small, big)
+    minus = np.where(up, small, big)
+    np.copyto(big, small, where=~up)
+    return big, minus
 
 
 def _gap_parts(cos_k, sin_k, params: WalkParams):
@@ -157,13 +170,22 @@ def _gap_parts(cos_k, sin_k, params: WalkParams):
     nearly collide.
     """
     rr0 = params.rho * params.rho0
-    s = rr0 * (sin_k - math.sin(params.nu))
-    k_plus, k_minus = _one_plus_minus(sin_k, cos_k)
     nu_plus, nu_minus = _one_plus_minus(math.sin(params.nu), math.cos(params.nu))
     base = (params.rho - params.rho0) ** 2
-    one_plus = base + rr0 * (k_plus + nu_minus)
-    one_minus = base + rr0 * (k_minus + nu_plus)
-    return s, one_plus * one_minus
+    k_plus, k_minus = _one_plus_minus(sin_k, cos_k)
+    if np.ndim(sin_k) == 0:
+        s = rr0 * (sin_k - math.sin(params.nu))
+        one_plus = base + rr0 * (k_plus + nu_minus)
+        one_minus = base + rr0 * (k_minus + nu_plus)
+        return s, one_plus * one_minus
+    s = np.subtract(sin_k, math.sin(params.nu))
+    s *= rr0
+    for part, nu_part in ((k_plus, nu_minus), (k_minus, nu_plus)):
+        part += nu_part
+        part *= rr0
+        part += base
+    k_plus *= k_minus
+    return s, k_plus
 
 
 def _kernel_rows(d, re_c, root, gap_sq):
@@ -252,11 +274,15 @@ def _swap_free_gap(cos_k, sin_k, params: WalkParams):
     is a product of nonnegative factors, so the sine stays accurate near
     ``k = pi``, where the gap closes for every ``rho``.
     """
-    c_plus, c_minus = _one_plus_minus(cos_k, sin_k)
-    tau = params.rho0**2 * cos_k - params.rho**2
-    sin_ang = params.rho0 * np.sqrt(
-        c_plus * (2.0 * params.rho**2 + params.rho0**2 * c_minus)
-    )
+    c_plus, sin_ang = _one_plus_minus(cos_k, sin_k)
+    tau = np.multiply(cos_k, params.rho0**2)
+    tau -= params.rho**2
+    sin_ang *= params.rho0**2
+    sin_ang += 2.0 * params.rho**2
+    sin_ang *= c_plus
+    del c_plus
+    np.sqrt(sin_ang, out=sin_ang)
+    sin_ang *= params.rho0
     return tau, sin_ang
 
 
@@ -285,6 +311,22 @@ def _node_count(t: int) -> int:
     few percent more nodes than needed (202 500 at t = 1e5).
     """
     return 4 * _next_5_smooth(-(-(2 * t + 3) // 4))
+
+
+def _unit_phases(nu: float, m: np.ndarray) -> np.ndarray:
+    """``exp(1j*nu*m)`` for integers ``|m| < 2**21``, without rounding ``nu*m``.
+
+    ``nu`` splits into a head of at most 31 significant bits, whose
+    products with such ``m`` are exact, and a tail whose products are
+    below 0.005, so each phase is accurate to a few ulp where
+    ``exp(1j*(nu*m))`` would carry the rounding of ``nu*m``: up to
+    3e-11 in angle at ``|nu*m|`` near 5e5.
+    """
+    split = nu * 4194305.0  # 2**22 + 1: Veltkamp's split
+    head = split - (split - nu)
+    out = np.exp(1j * (head * m))
+    out *= np.exp(1j * ((nu - head) * m))
+    return out
 
 
 def _chebyshev_pair(cos_d, sin_d, t: int, out=None) -> np.ndarray:
@@ -347,10 +389,11 @@ def evolve_fourier(
     each row over ``M/2 + 1`` nodes (``M >= 2t + 3``, a multiple of 4
     with small prime factors), computed as the real FFT of the row's
     even extension to ``M`` nodes; each site then combines them with
-    the three harmonics of ``A v``.  At t = 1e5 this takes about 40 ms
-    and allocates at most 18 MB in all, 6.4 MB of which is the result
-    and 9.6 MB one scratch block (full walk, one thread of a 2-vCPU
-    VM, numpy 2.4).
+    the three harmonics of ``A v``.  At t = 1e5 this takes about 30 ms
+    and allocates at most 13 MB in all, 9.6 MB of which is one block
+    that ends in the 6.4 MB of amplitudes (full walk, one thread of a
+    2-vCPU VM, numpy 2.4).  The amplitudes are a view into that block,
+    so a state that is kept holds all of it, ``12t + 8`` floats.
 
     Returns a :class:`~qwalk.walk.WaveState` on the window ``[-t, t]``
     whose distribution matches lattice evolution within 1e-12 in total
@@ -378,22 +421,24 @@ def evolve_fourier(
     m_count = _node_count(t)
     half_m = m_count // 2
     n_sites = 2 * t + 1
-    # The large intermediates share one scratch block, taken before
-    # anything else, instead of each being a fresh multi-MB array: the
-    # transform's complex output, and in the region after it first the
-    # transform's input (both Chebyshev rows on the M/2 + 1 nodes, then
-    # their even extension to all M nodes, whose real FFT is their type-I
-    # DCT), then the per-site basis, then the site phases.  Other arrays
-    # are dropped once used: peak memory is what bounds t.
-    coef_len = 4 * (half_m + 1)  # floats of the (2, M/2 + 1) complex output
-    work = np.empty(coef_len + max(2 * m_count, 4 * n_sites))
-    coef = work[:coef_len].view(np.complex128).reshape(2, half_m + 1)
-    shared = work[coef_len:]
-    ext = shared[: 2 * m_count].reshape(2, m_count)
+    # One block holds every large array, the result included: with two
+    # large blocks of about the same size a call's heap outgrows twice the
+    # larger one, and glibc then trims the heap after each call and the
+    # next call faults it back in.  Regions, in floats: [0, 2M) takes the
+    # Chebyshev rows and their even extension, and [2M, 4M + 4) first the
+    # node angles, cosines and sines, then the DCT's complex output.
+    # [0, 4t + 4), clear of that output as 2M >= 4t + 6, then takes the
+    # half basis and after it the site phases, and the rest of the block
+    # the amplitudes, which the result keeps as a view.
+    block = np.empty(max(12 * t + 8, 4 * m_count + 4))
+    ext = block[: 2 * m_count].reshape(2, m_count)
     cheb = ext[:, : half_m + 1]
-    theta = (2.0 * np.pi / m_count) * np.arange(half_m + 1)
-    cos_th, sin_th = np.cos(theta), np.sin(theta)
-    del theta
+    upper = block[2 * m_count : 4 * m_count + 4]
+    coef = upper.view(np.complex128).reshape(2, half_m + 1)
+    theta, cos_th, sin_th = upper[: 3 * (half_m + 1)].reshape(3, half_m + 1)
+    np.multiply(2.0 * np.pi / m_count, np.arange(half_m + 1), out=theta)
+    np.cos(theta, out=cos_th)
+    np.sin(theta, out=sin_th)
     phi = coin.as_array()
     half = cmath.exp(0.5j * params.nu)
     rr0 = params.rho * params.rho0
@@ -403,7 +448,6 @@ def evolve_fourier(
         # At k = pi/2 - theta, sin k = cos theta, and the coefficient of
         # U at site x is 1j**x times its DCT value at |x|, over M.
         s, gap_sq = _gap_parts(sin_th, cos_th, params)
-        del cos_th, sin_th
         _chebyshev_pair(s, np.sqrt(gap_sq, out=gap_sq), t, out=cheb)
         del s, gap_sq
         v0, v1 = half * phi[0], half.conjugate() * phi[1]
@@ -429,7 +473,6 @@ def evolve_fourier(
         # G = [[rho0**2 e - rho**2, -rr0 (e + 1)],
         #      [rr0 (conj(e) + 1), rho0**2 conj(e) - rho**2]], e = exp(-1j*k).
         tau, sin_ang = _swap_free_gap(cos_th, sin_th, params)
-        del cos_th, sin_th
         _chebyshev_pair(tau, sin_ang, t, out=cheb)
         del tau, sin_ang
         v0, v1 = half.conjugate() * phi[0], half * phi[1]
@@ -443,23 +486,36 @@ def evolve_fourier(
         ) * np.array([half, half.conjugate()])
 
     _dct1(ext, out=coef)
-    # Site x = i - t takes U_t at |x|, |x - 1| and |x + 1|, and U_(t-1)
-    # at |x|: column j holds row[|i - centre|].
+    # Sites x and -x both take U_t at |x|, |x| - 1 and |x| + 1 (U_t[1] for
+    # both neighbours of x = 0) and U_(t-1) at |x|; only the two
+    # neighbours swap sides.  So one basis over |x| = 0..t serves both
+    # halves, the left one with weight rows 1 and 2 swapped.
     u_t, u_prev = coef.real
-    basis = shared[: 4 * n_sites].reshape(n_sites, 4)
-    for j, (row, centre) in enumerate(
-        ((u_t, t), (u_t, t + 1), (u_t, t - 1), (u_prev, t))
-    ):
-        basis[centre:, j] = row[: n_sites - centre]
-        basis[:centre, j] = row[centre:0:-1]
+    basis = block[: 4 * (t + 1)].reshape(t + 1, 4)
+    basis[:, 0] = u_t[: t + 1]
+    basis[0, 1] = u_t[1]
+    basis[1:, 1] = u_t[:t]
+    basis[:, 2] = u_t[1 : t + 2]
+    basis[:, 3] = u_prev[: t + 1]
     weights /= m_count
-    rows = (basis @ weights.view(np.float64)).view(np.complex128)
+    weights = weights.view(np.float64)
+    row_parts = block[4 * (t + 1) : 12 * t + 8].reshape(n_sites, 4)
+    rows = row_parts.view(np.complex128)
+    np.matmul(basis, weights, out=row_parts[t:])
+    np.matmul(basis, weights[[0, 2, 1, 3]], out=row_parts[t::-1])
     if full_walk:
-        phase = shared[: 2 * n_sites].view(np.complex128)
-        np.multiply(1j * params.nu, np.arange(-t, t + 1), out=phase)
-        np.exp(phase, out=phase)
-        # Site x = i - t takes 1j**(i - 1).
-        for i in range(4):
-            phase[i::4] *= _QUARTER_TURNS[(i - 1) % 4]
+        # Site x = i - t takes exp(1j*nu*x) * 1j**(i - 1).  With
+        # i = q*width + r and width a multiple of 4 that is the block phase
+        # exp(1j*nu*(q*width - t)) times the in-block phase
+        # exp(1j*nu*r) * 1j**(r - 1): about 2*sqrt(n) exponentials.  The
+        # site count is odd, so the last block is the one cut short.
+        width = 4 * (math.isqrt(n_sites) // 4 + 1)
+        r = np.arange(width)
+        inner = _unit_phases(params.nu, r) * _QUARTER_TURNS[(r - 1) % 4]
+        outer = _unit_phases(params.nu, np.arange(-t, t + 1, width))
+        cut = n_sites - width * (outer.size - 1)
+        phase = block[: 2 * n_sites].view(np.complex128)
+        np.multiply(outer[:-1, None], inner, out=phase[:-cut].reshape(-1, width))
+        np.multiply(outer[-1], inner[:cut], out=phase[-cut:])
         rows *= phase[:, None]
     return WaveState(time=t, x_min=-t, amps=rows)

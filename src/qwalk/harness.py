@@ -96,9 +96,10 @@ def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
         raise ValueError("rescaling time must be at least 1")
     xs_grid, cdf_grid = _cdf_table(law)
     rescaled = dist.positions() / t
-    emp = np.cumsum(dist.probs)
+    gap = np.cumsum(dist.probs)
     lim = np.interp(rescaled, xs_grid, cdf_grid, left=0.0, right=cdf_grid[-1])
-    return float(np.max(np.abs(emp - lim)))
+    np.subtract(gap, lim, out=gap)
+    return float(np.max(np.abs(gap, out=gap)))
 
 
 def rescaled_density_points(
@@ -141,7 +142,8 @@ def run_comparison(
     to within 1e-12 in total variation at O(t log t) cost.  The law kind
     must match the variant (``theorem1``/``standard`` for the full walk,
     ``cmv_only`` for the swap-free walk).  ``t = 0`` is allowed and
-    degenerates to rescaling by 1.
+    degenerates to rescaling by 1; :func:`~qwalk.fourier.evolve_fourier`
+    refuses a negative ``t`` with a ``ValueError``.
     """
     allowed = VARIANT_LAWS.get(variant)
     if allowed is None:
@@ -150,8 +152,6 @@ def run_comparison(
         raise ValueError(
             f"law kind {law_kind!r} inconsistent with variant {variant!r}"
         )
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
     law = make_limit_law(law_kind, params, coin, n=n)
     dist = distribution(evolve_fourier(coin, params, t, variant=variant))
     scale = max(t, 1)

@@ -177,13 +177,42 @@ def coin_weight(x, params: WalkParams, coin: CoinSpinor):
     return _like_input(x, out)
 
 
-def support_halfwidth(params: WalkParams) -> float:
-    """Half-width ``h*`` of the limit-law support, in (0, 1)."""
+def _edge_squares(params: WalkParams) -> tuple[float, float, float]:
+    """``p = rho*rho0`` and ``(1 -/+ p)**2 - (p*sin(nu))**2``, lower first.
+
+    With ``a = |sin nu|`` both are products ``(1 -/+ p - p*a)(1 -/+ p + p*a)``,
+    and since ``1 = (rho - rho0)**2 + 2p``, the one factor that can
+    vanish is ``1 - p - p*a = (rho - rho0)**2 + p*cos(nu)**2/(1 + a)``, a
+    sum of nonnegative terms, as in :func:`~qwalk.fourier._gap_parts`.
+    ``rho - rho0`` is ``(2 rho**2 - 1)/(rho + rho0)`` with the numerator
+    rounded once: next to the special set the rounding of ``rho0`` alone
+    would be as large as the difference.
+    """
     p = params.rho * params.rho0
-    q = (p * math.sin(params.nu)) ** 2
-    hi = math.sqrt(max((1.0 + p) ** 2 - q, 0.0))
-    lo = math.sqrt(max((1.0 - p) ** 2 - q, 0.0))
-    return 0.5 * (hi - lo)
+    a = abs(math.sin(params.nu))
+    num, den = params.rho.as_integer_ratio()
+    diff = (2 * num * num - den * den) / (den * den) / (params.rho + params.rho0)
+    lo_sq = (diff * diff + p * math.cos(params.nu) ** 2 / (1.0 + a)) * (
+        1.0 - p + p * a
+    )
+    hi_sq = (1.0 + p - p * a) * (1.0 + p + p * a)
+    return p, lo_sq, hi_sq
+
+
+def support_halfwidth(params: WalkParams) -> float:
+    """Half-width ``h*`` of the limit-law support, in (0, 1).
+
+    ``h* = (hi - lo)/2`` with ``hi**2 - lo**2 = 4p``.  The difference
+    cancels unless ``lo`` is small beside ``hi``, which happens only next
+    to the special set, so elsewhere it is taken as ``2p/(hi + lo)``.  At
+    the special pair itself the difference gives ``sqrt(2)/2``, the edge
+    of the ``standard`` law.
+    """
+    p, lo_sq, hi_sq = _edge_squares(params)
+    hi, lo = math.sqrt(hi_sq), math.sqrt(lo_sq)
+    if lo <= 0.25 * hi:
+        return 0.5 * (hi - lo)
+    return 2.0 * p / (hi + lo)
 
 
 def extremal_momentum(params: WalkParams) -> float:
@@ -191,10 +220,8 @@ def extremal_momentum(params: WalkParams) -> float:
     sv = math.sin(params.nu)
     if sv == 0.0:
         return 0.0
-    p = params.rho * params.rho0
-    q = (p * sv) ** 2
-    disc = math.sqrt(max(((1.0 - p) ** 2 - q) * ((1.0 + p) ** 2 - q), 0.0))
-    num = -1.0 + p * p * (1.0 + sv * sv) + disc
+    p, lo_sq, hi_sq = _edge_squares(params)
+    num = -1.0 + p * p * (1.0 + sv * sv) + math.sqrt(lo_sq * hi_sq)
     return math.asin(max(-1.0, min(1.0, num / (2.0 * p * p * sv))))
 
 

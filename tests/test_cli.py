@@ -653,6 +653,14 @@ def test_step_count_over_cap_exits_2_without_output(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_negative_step_count_exits_2_without_output(tmp_path, command, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(command, *CANON_FLAGS, "--t", -3, "--out", out) == 2
+    assert not out.exists()
+    assert "nonnegative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flag, value, rest",
     [

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (
@@ -32,7 +34,14 @@ from qwalk import (
     phase_rotation,
     shifted_symbol,
 )
-from qwalk.fourier import MAX_STEPS, _chebyshev_pair, _dct1, _node_count
+from qwalk.fourier import (
+    MAX_STEPS,
+    _chebyshev_pair,
+    _dct1,
+    _node_count,
+    _swap_free_gap,
+    _unit_phases,
+)
 
 
 def lattice_dft(state, k: float) -> np.ndarray:
@@ -388,3 +397,100 @@ def test_chebyshev_pair_next_to_closing_gaps():
         prev, cur = cur, 2 * cos_ld * cur - prev
     for row, ref in zip(got, (2 * cos_ld * cur - prev, cur)):
         assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("coin", [COIN_RIGHT, COIN_BAL, COIN_GEN])
+@pytest.mark.parametrize("variant", ["full", "cmv_only"])
+def test_evolve_fourier_matches_lattice_at_every_small_t(variant, coin):
+    """Every amplitude within 1e-12 of the lattice for t = 1..16.
+
+    Covers the site x = 0, which reads U_t[1] for both neighbours, and a
+    last phase block shorter than the rest at every t.
+    """
+    params = WalkParams(0.85, -1.3)
+    for t in range(1, 17):
+        lattice = evolve(coin, params, t, variant=variant)
+        fourier = evolve_fourier(coin, params, t, variant=variant)
+        assert fourier.x_min == lattice.x_min == -t
+        assert np.max(np.abs(fourier.amps - lattice.amps)) <= 1e-12, t
+
+
+def test_evolve_fourier_allocation_peak_at_depth():
+    """At t = 1e5 (full walk) the engine allocates at most 14 MB in all.
+
+    One 9.6 MB block ends in the 6.4 MB result; the largest other arrays
+    are the 0.8 MB ones on the M/2 + 1 nodes.
+    """
+    tracemalloc.start()
+    try:
+        evolve_fourier(COIN_GEN, WalkParams(0.6, 0.7), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
+
+
+def _swap_free_full_basis(coin, params, t):
+    """Swap-free amplitudes with the per-site basis over all 2t + 1 sites.
+
+    A test-side copy of the site stage the half basis replaced: column
+    j of site x holds U_t at |x|, |x - 1| and |x + 1|, then U_(t-1) at
+    |x|, each read off the DCT by its own index.
+    """
+    m_count = _node_count(t)
+    half_m = m_count // 2
+    n_sites = 2 * t + 1
+    theta = (2.0 * np.pi / m_count) * np.arange(half_m + 1)
+    ext = np.empty((2, m_count))
+    tau, sin_ang = _swap_free_gap(np.cos(theta), np.sin(theta), params)
+    _chebyshev_pair(tau, sin_ang, t, out=ext[:, : half_m + 1])
+    coef = _dct1(ext, np.empty((2, half_m + 1), dtype=np.complex128))
+    phi = coin.as_array()
+    half = cmath.exp(0.5j * params.nu)
+    rr0 = params.rho * params.rho0
+    rho2, rho02 = params.rho**2, params.rho0**2
+    v0, v1 = half.conjugate() * phi[0], half * phi[1]
+    weights = np.array(
+        [
+            [-rho2 * v0 - rr0 * v1, rr0 * v0 - rho2 * v1],
+            [rho02 * v0 - rr0 * v1, 0.0],
+            [0.0, rr0 * v0 + rho02 * v1],
+            [-v0, -v1],
+        ]
+    ) * np.array([half, half.conjugate()])
+    u_t, u_prev = coef.real
+    basis = np.empty((n_sites, 4))
+    for j, (row, centre) in enumerate(
+        ((u_t, t), (u_t, t + 1), (u_t, t - 1), (u_prev, t))
+    ):
+        basis[centre:, j] = row[: n_sites - centre]
+        basis[:centre, j] = row[centre:0:-1]
+    weights /= m_count
+    return (basis @ weights.view(np.float64)).view(np.complex128)
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 37, 1100, 4999])
+@pytest.mark.parametrize(
+    "params, coin",
+    [(WalkParams(0.5, 1.2), COIN_RIGHT), (PARAMS_CANONICAL, COIN_BAL)],
+)
+def test_swap_free_half_basis_is_bit_identical_to_full_basis(params, coin, t):
+    """Mirroring the basis moves no swap-free amplitude by a single bit."""
+    state = evolve_fourier(coin, params, t, variant="cmv_only")
+    assert np.array_equal(state.amps, _swap_free_full_basis(coin, params, t))
+
+
+@pytest.mark.parametrize("nu", [0.7, -1.3, math.pi / 2, 3 * math.pi / 2, 3.1])
+def test_unit_phases_match_extended_precision(nu):
+    """exp(1j*nu*m) to 1e-15 for |m| up to MAX_STEPS, against 40 digits.
+
+    Rounding nu*m first would be off by up to half an ulp of nu*m in
+    angle, about 1e-10 at the largest m.
+    """
+    m = np.concatenate(
+        (np.arange(-5, 6), np.linspace(-MAX_STEPS, MAX_STEPS, 41).astype(np.int64))
+    )
+    got = _unit_phases(nu, m)
+    with mpmath.workdps(40):
+        ref = [complex(mpmath.expj(mpmath.mpf(nu) * int(k))) for k in m]
+    assert np.max(np.abs(got - np.array(ref))) <= 1e-15

@@ -76,6 +76,20 @@ def test_kolmogorov_distance_bounds_and_validation():
         kolmogorov_distance(dist, 0, law)
 
 
+@pytest.mark.parametrize("params, coin, variant, law_kind, n", REGRESSION_GRID[::3])
+def test_kolmogorov_distance_is_the_plain_sup(params, coin, variant, law_kind, n):
+    """The in-place scan returns max |cumsum - interp| bit for bit."""
+    t = 300
+    law = make_limit_law(law_kind, params, coin, n=n)
+    dist = distribution(evolve(coin, params, t, variant=variant))
+    xs_grid, cdf_grid = _cdf_table(law)
+    lim = np.interp(
+        dist.positions() / t, xs_grid, cdf_grid, left=0.0, right=cdf_grid[-1]
+    )
+    expected = float(np.max(np.abs(np.cumsum(dist.probs) - lim)))
+    assert kolmogorov_distance(dist, t, law) == expected
+
+
 def test_kolmogorov_distance_decreases_along_time():
     law = make_limit_law("theorem1", PARAMS_CANONICAL, COIN_RIGHT)
     previous = None

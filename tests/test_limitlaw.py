@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (
@@ -149,6 +150,38 @@ def test_support_halfwidth_nu_zero_values():
         assert support_halfwidth(params) == pytest.approx(
             params.rho * params.rho0, abs=1e-12
         )
+
+
+def _halfwidth_40_digits(rho: float, nu: float) -> mpmath.mpf:
+    """h* = (hi - lo)/2 at 40 digits, with rho0 = sqrt(1 - rho^2) from the double rho."""
+    with mpmath.workdps(40):
+        rho_m = mpmath.mpf(rho)
+        p = rho_m * mpmath.sqrt(1 - rho_m**2)
+        q = (p * mpmath.sin(mpmath.mpf(nu))) ** 2
+        return (mpmath.sqrt((1 + p) ** 2 - q) - mpmath.sqrt((1 - p) ** 2 - q)) / 2
+
+
+def test_support_halfwidth_matches_extended_precision():
+    """h* to 5e-16 relative over seeded (rho, nu): no cancellation for
+    small rho*rho0 (hi - lo) or next to the special set ((1 - p)^2 - q)."""
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for rho, nu in zip(rng.uniform(0.001, 0.9, 3000), rng.uniform(-math.pi, math.pi, 3000)):
+        ref = _halfwidth_40_digits(rho, nu)
+        got = support_halfwidth(WalkParams(float(rho), float(nu)))
+        worst = max(worst, abs(float((got - ref) / ref)))
+    assert worst <= 5e-16
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-5, 1e-8])
+def test_support_halfwidth_next_to_the_special_set(d):
+    """At distance d from (1/sqrt(2), pi/2) along (0.6, 0.8), h* keeps
+    every digit; the subtraction (1 - p)^2 - q lost 3.6e-14 relative at
+    d = 1e-3 and 1.6e-9 at 1e-8."""
+    rho, nu = SQ2 + 0.6 * d, math.pi / 2 + 0.8 * d
+    ref = _halfwidth_40_digits(rho, nu)
+    got = support_halfwidth(WalkParams(rho, nu))
+    assert abs(float((got - ref) / ref)) <= 5e-16
 
 
 @pytest.mark.parametrize("params", PARAM_POINTS)
