@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 invalid parameters, 1 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -80,13 +81,13 @@ def _fmt(value: float) -> str:
 
 
 def _format_rows(template: str, columns) -> list[str]:
-    """One ``template.format(*row)`` per row of the parallel ``columns``.
+    """One ``template % row`` per row of the parallel ``columns``.
 
     Each column goes through ``tolist()``, so the template formats
-    Python ints and floats: ``{:.17g}`` writes what :func:`_fmt` does
-    and ``{!r}`` what :func:`json.dumps` does for a finite float.
+    Python ints and floats: ``%.17g`` writes what :func:`_fmt` does
+    and ``%r`` what :func:`json.dumps` does for a finite float.
     """
-    return list(map(template.format, *(c.tolist() for c in columns)))
+    return [template % row for row in zip(*(c.tolist() for c in columns))]
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
     }
     if cfg.format == "json":
         return _json_text({"command": "simulate"}, columns)
-    rows = _format_rows("{}" + ",{:.17g}" * 5, columns.values())
+    rows = _format_rows("%d" + ",%.17g" * 5, columns.values())
     return _csv_text(",".join(columns), rows)
 
 
@@ -247,7 +248,7 @@ def cmd_density(cfg: RunConfig) -> str:
     columns = {"x": xs, "density": law.density(xs)}
     if cfg.format == "json":
         return _json_text({"command": "density"}, columns)
-    rows = _format_rows("{:.17g},{:.17g}", columns.values())
+    rows = _format_rows("%.17g,%.17g", columns.values())
     return _csv_text(",".join(columns), rows)
 
 
@@ -328,7 +329,7 @@ def cmd_compare(cfg: RunConfig) -> str:
     meta.extend(
         f"moment_error_r{r},{_fmt(e)}" for r, e in report.moment_errors
     )
-    rows = _format_rows("{},{:.17g},{:.17g}", columns.values())
+    rows = _format_rows("%d,%.17g,%.17g", columns.values())
     return _csv_text(",".join(columns), rows, meta=meta)
 
 
@@ -349,7 +350,7 @@ def cmd_sweep(cfg: RunConfig) -> str:
     )
     if cfg.format == "json":
         return _json_text({"command": "sweep"}, columns)
-    rows = _format_rows("{:.17g},{:.17g},{:.17g}", columns.values())
+    rows = _format_rows("%.17g,%.17g,%.17g", columns.values())
     return _csv_text(",".join(columns), rows)
 
 
@@ -366,8 +367,8 @@ def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> str:
     body.update(payload)
     arrays = list(columns.values())
     if len(arrays[0]) and all(np.isfinite(a).all() for a in arrays):
-        fields = ",\n".join(f"      {json.dumps(name)}: {{!r}}" for name in columns)
-        item = "    {{\n" + fields + "\n    }}"
+        fields = ",\n".join(f"      {json.dumps(name)}: %r" for name in columns)
+        item = "    {\n" + fields + "\n    }"
         rows = ",\n".join(_format_rows(item, arrays))
         head = json.dumps(body, indent=2)[: -len("\n}")]
         return f'{head},\n  "rows": [\n{rows}\n  ]\n}}\n'
@@ -390,7 +391,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qwalk",
         description="Five-diagonal unitary walk: simulation, limit laws, comparisons.",

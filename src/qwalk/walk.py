@@ -68,7 +68,9 @@ class WalkParams:
             )
         if not math.isfinite(self.nu):
             raise ValueError(f"nu must be finite, got {self.nu}")
-        object.__setattr__(self, "rho0", math.sqrt(1.0 - self.rho * self.rho))
+        # Factored, 1 - rho**2 would lose digits to cancellation next to 1.
+        rho0 = math.sqrt((1.0 - self.rho) * (1.0 + self.rho))
+        object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "alpha0", self.rho * cmath.exp(1j * self.nu))
 
 

@@ -22,6 +22,7 @@ from qwalk import (
     empirical_moment,
     envelope_deviation,
     evolve,
+    evolve_fourier,
     kolmogorov_distance,
     make_limit_law,
     rescaled_density_points,
@@ -40,6 +41,24 @@ def test_empirical_moment_point_mass():
     dist = Distribution(x_min=0, probs=np.array([1.0]))
     assert empirical_moment(dist, 5, 1) == 0.0
     assert empirical_moment(dist, 5, 2) == 0.0
+
+
+def _reference_empirical_moment(dist, t, r):
+    """The moment as ``sum((positions/t)**r * probs)``, one new array per step."""
+    xs = dist.positions() / t
+    return float(np.sum(xs**r * dist.probs))
+
+
+@pytest.mark.parametrize("params", [PARAMS_CANONICAL, WalkParams(0.3, -2.0)])
+def test_empirical_moment_in_place_changes_no_bit(params):
+    """Scaling, raising and weighting in one array leaves every bit as the
+    array-per-step form gives it, pairwise sum included."""
+    for t in (1, 7, 2000, 100_000):
+        dist = distribution(evolve_fourier(COIN_BAL, params, t))
+        for r in range(6):
+            assert empirical_moment(dist, t, r) == _reference_empirical_moment(
+                dist, t, r
+            )
 
 
 def test_empirical_moment_rejects_bad_arguments():

@@ -40,7 +40,12 @@ from qwalk import (
     support_halfwidth,
     support_polynomial,
 )
-from qwalk.limitlaw import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS, _spectral_nodes
+from qwalk.limitlaw import (
+    _LEGENDRE_NODES,
+    _LEGENDRE_WEIGHTS,
+    _edge_squares,
+    _spectral_nodes,
+)
 
 SPECIAL_POINTS = (
     (0, WalkParams(SQ2, math.pi / 2)),
@@ -501,34 +506,67 @@ def test_spectral_moment_refuses_special_parameters():
         spectral_limit_moment(-1, PARAMS_CANONICAL, COIN_BAL)
 
 
-def _uncached_spectral_moment(r, params, coin):
-    """The spectral route as one uncached computation, term for term."""
-    n_nodes = 4096
-    k = -np.pi + 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+def _spectral_integrand(k, params, coin):
+    """Second-branch velocity, both branch overlaps and their normaliser at ``k``."""
     rr0 = params.rho * params.rho0
-    s = rr0 * (np.sin(k) - math.sin(params.nu))
+    cos_k, sin_k = np.cos(k), np.sin(k)
+    s = rr0 * (sin_k - math.sin(params.nu))
     gap_sq = 1.0 - s * s
     root = np.sqrt(gap_sq)
-    velocity = rr0 * np.cos(k) / root
-    d = -params.rho**2 * cmath.exp(1j * params.nu) + params.rho0**2 * np.exp(
-        -1j * k
+    velocity = rr0 * cos_k / root
+    d = -params.rho**2 * cmath.exp(1j * params.nu) + params.rho0**2 * (
+        cos_k - 1j * sin_k
     )
-    re_c = rr0 * (np.cos(k) + math.cos(params.nu))
+    re_c = rr0 * (cos_k + math.cos(params.nu))
     half = cmath.exp(0.5j * params.nu)
     phi0 = half * coin.a0
     phi1 = half.conjugate() * coin.a1
-    total = np.zeros_like(k)
-    for sgn, vel_sign in ((1.0, -1.0), (-1.0, 1.0)):
+    overlaps = []
+    for sgn in (1.0, -1.0):
         norm_main = 2.0 * (gap_sq + sgn * re_c * root)
         norm_alt = 2.0 * (gap_sq - sgn * re_c * root)
         num_main = np.abs(np.conj(d) * phi0 + (re_c + sgn * root) * phi1) ** 2
         num_alt = np.abs(-(re_c - sgn * root) * phi0 + d * phi1) ** 2
-        use_main = norm_main >= norm_alt
-        weight = np.where(use_main, num_main, num_alt) / np.where(
-            use_main, norm_main, norm_alt
-        )
-        total = total + (vel_sign * velocity) ** r * weight
-    return float(np.mean(total))
+        overlaps.append(np.where(norm_main >= norm_alt, num_main, num_alt))
+    # Both branches share the larger normaliser.
+    return velocity, overlaps[0], overlaps[1], np.maximum(norm_main, norm_alt)
+
+
+def _uncached_spectral_moment(r, params, coin):
+    """The spectral route as one uncached computation, term for term.
+
+    Gauss-Legendre panels over one period that halve towards ``k* =
+    -/+pi/2``, as deep as ``eta``, the height of the branch points of
+    ``1 - s(k)**2`` over ``k*``, asks.
+    """
+    p, lo_sq, _ = _edge_squares(params)
+    a = abs(math.sin(params.nu))
+    g = lo_sq / (1.0 - p + p * a)
+    eta = 2.0 * math.asinh(math.sqrt(g / (2.0 * p)))
+    depth = max(2, math.ceil(math.log2(4.0 * math.pi / eta)))
+    widths = math.pi * 0.5 ** np.arange(depth + 1)
+    k_star = -0.5 * math.pi if math.sin(params.nu) >= 0.0 else 0.5 * math.pi
+    edges = k_star + np.concatenate((-widths, widths[::-1]))
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    k = (edges[:-1, None] + half * (_LEGENDRE_NODES + 1.0)).ravel()
+    weight = (half * _LEGENDRE_WEIGHTS).ravel() / (2.0 * np.pi)
+    velocity, over_plus, over_minus, norm = _spectral_integrand(k, params, coin)
+    weight = weight / norm
+    plus = np.dot((-velocity) ** r, over_plus * weight)
+    return float(plus + np.dot(velocity**r, over_minus * weight))
+
+
+def _trapezoid_spectral_moments(params, coin, n_orders, n_nodes=2**16):
+    """Spectral moments ``0 .. n_orders - 1`` on a uniform trapezoid in ``k``."""
+    k = -np.pi + 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    velocity, over_plus, over_minus, norm = _spectral_integrand(k, params, coin)
+    # The + branch moves with -velocity.
+    even, odd = (over_minus + over_plus) / norm, (over_minus - over_plus) / norm
+    moments, power = [], np.ones_like(velocity)
+    for r in range(n_orders):
+        moments.append(float(np.mean(power * (odd if r % 2 else even))))
+        power *= velocity
+    return moments
 
 
 @pytest.mark.parametrize("params", PARAM_POINTS)
@@ -539,6 +577,58 @@ def test_spectral_moment_cache_returns_uncached_values(params):
             assert spectral_limit_moment(r, params, coin) == (
                 _uncached_spectral_moment(r, params, coin)
             )
+
+
+def _random_coin(rng) -> CoinSpinor:
+    v = rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    return CoinSpinor(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def test_spectral_moment_matches_fine_trapezoid_at_generic_points():
+    """To 1e-15 against a 65536-node uniform trapezoid, the parent rule's
+    refinement, on 200 seeded points with rho out to 0.001 and 0.999, in
+    at most 1024 nodes."""
+    rng = np.random.default_rng(20261019)
+    rhos = np.concatenate(([0.001, 0.999], rng.uniform(0.001, 0.999, 198)))
+    worst, most = 0.0, 0
+    for rho, nu in zip(rhos, rng.uniform(-math.pi, math.pi, rhos.size)):
+        params, coin = WalkParams(float(rho), float(nu)), _random_coin(rng)
+        ref = _trapezoid_spectral_moments(params, coin, 5)
+        for r in range(5):
+            worst = max(worst, abs(spectral_limit_moment(r, params, coin) - ref[r]))
+        most = max(most, _spectral_nodes(params, coin)[0].size)
+    assert worst <= 1e-15
+    assert most <= 1024
+
+
+@pytest.mark.parametrize("nu_sign", [1, -1])
+@pytest.mark.parametrize("d", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_spectral_moment_next_to_the_special_set(d, nu_sign):
+    """At distance d from (1/sqrt(2), +-pi/2) along (0.6, +-0.8), the two
+    moment routes agree to 1e-10; a 4096-node uniform trapezoid missed by
+    9.1e-8 at d = 1e-3 and 1.5e-4 at 1e-6."""
+    params = WalkParams(SQ2 + 0.6 * d, nu_sign * (math.pi / 2 + 0.8 * d))
+    for coin in (COIN_GEN, COIN_BAL, COIN_RIGHT):
+        law = make_limit_law("theorem1", params, coin)
+        for r in range(5):
+            assert abs(spectral_limit_moment(r, params, coin) - law.moment(r)) <= 1e-10
+
+
+def test_spectral_rule_stays_small_down_to_its_refusal():
+    """Approaching the special set, the graded rule never needs more than
+    1024 nodes before the gap falls below the refusal threshold."""
+    for d_rho, d_nu in ((0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (-0.6, -0.8)):
+        sizes = []
+        for d in np.geomspace(1e-1, 1e-8, 71):
+            params = WalkParams(SQ2 + d_rho * d, math.pi / 2 + d_nu * d)
+            try:
+                sizes.append(_spectral_nodes(params, COIN_BAL)[0].size)
+            except DegenerateSymbolError:
+                break
+        else:
+            pytest.fail(f"no refusal along ({d_rho}, {d_nu}) down to 1e-8")
+        assert max(sizes) <= 1024
 
 
 def test_spectral_node_cache_is_read_only_and_bounded():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (
@@ -41,6 +42,15 @@ def test_params_derived_quantities():
     assert params.rho**2 + params.rho0**2 == pytest.approx(1.0, abs=1e-15)
     assert abs(params.alpha0) == pytest.approx(params.rho, abs=1e-15)
     assert params.alpha0 == pytest.approx(0.3 * np.exp(1.1j), abs=1e-15)
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.999, 0.9999])
+def test_params_rho0_keeps_its_digits_next_to_one(rho):
+    """rho0 to 2e-16 relative of a 40-digit sqrt(1 - rho^2); 1 - rho*rho
+    cancels and was off by 7.2e-15 at 0.999 and 1.3e-13 at 0.9999."""
+    with mpmath.workdps(40):
+        ref = mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
+        assert abs(float((WalkParams(rho, 0.0).rho0 - ref) / ref)) <= 2e-16
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.2, 1.5, math.nan, math.inf])
