@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -107,6 +108,14 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray):
     """Legendre nodes and weights on panels ``[lo[i], hi[i]]``, each ``(P, 16)``."""
     half = 0.5 * (hi - lo)[:, None]
     return lo[:, None] + half * (_LEGENDRE_NODES + 1.0), half * _LEGENDRE_WEIGHTS
+
+
+def _moment_order(r) -> int:
+    """``r`` as an ``int``; ``ValueError`` unless a nonnegative integer, as a
+    fractional power of a negative position or velocity is NaN."""
+    if not hasattr(r, "__index__") or operator.index(r) < 0:
+        raise ValueError("moment order must be a nonnegative integer")
+    return operator.index(r)
 
 
 class OutOfSupportError(ValueError):
@@ -299,11 +308,21 @@ class LimitLaw:
         every kind.  The chord is cancelled analytically, so no value
         near an edge loses digits to ``h*^2 - x^2``.
         """
-        vals = (1.0 + self.coeff * xs) / (np.pi * (1.0 - np.square(xs)))
         hi = self.support_hi
         if self.kind == "theorem1":
-            return vals * _theorem1_radical_ratio(self.params, hi, chord)
-        return vals * math.sqrt(1.0 - hi * hi)
+            # First, so that its work arrays are freed before the two below,
+            # which round as (1 + coeff*xs) / (pi (1 - xs^2)), exist.
+            ratio = _theorem1_radical_ratio(self.params, hi, chord)
+        else:
+            ratio = math.sqrt(1.0 - hi * hi)
+        vals = np.multiply(self.coeff, xs, out=np.empty(np.shape(xs)))
+        vals += 1.0
+        den = np.square(xs, out=np.empty(np.shape(xs)))
+        np.subtract(1.0, den, out=den)
+        den *= np.pi
+        vals /= den
+        vals *= ratio
+        return vals
 
     def density(self, x):
         """Density value(s) at ``x``; zero outside the open support.
@@ -327,9 +346,10 @@ class LimitLaw:
         The edge form at ``x = h* sin(theta)``, finite on the closed
         interval ``[-pi/2, pi/2]``, edges included.
         """
-        theta = np.asarray(theta, dtype=float)
+        theta_arr = np.asarray(theta, dtype=float)
         hi = self.support_hi
-        return self._edge_form(hi * np.sin(theta), hi * np.cos(theta))
+        vals = self._edge_form(hi * np.sin(theta_arr), hi * np.cos(theta_arr))
+        return _like_input(theta, vals)
 
     @cached_property
     def _weighted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +357,8 @@ class LimitLaw:
         theta, weights = _panel_rule(_PANEL_EDGES[:-1], _PANEL_EDGES[1:])
         theta, weights = theta.ravel(), weights.ravel()
         xs = self.support_hi * np.sin(theta)
-        return xs, weights * self.substituted_density(theta)
+        weights *= self._edge_form(xs, self.support_hi * np.cos(theta))
+        return xs, weights
 
     def cdf(self, x):
         """Cumulative distribution at ``x``, any shape; a float for scalar ``x``.
@@ -367,11 +388,14 @@ class LimitLaw:
         return _like_input(x, cum[rank[_PANEL_EDGES.size :]].reshape(x_arr.shape))
 
     def moment(self, r: int) -> float:
-        """r-th moment of the law, ``r >= 0``."""
-        if r < 0:
-            raise ValueError("moment order must be nonnegative")
+        """r-th moment of the law, ``r`` a nonnegative integer; the nodes'
+        powers by repeated multiplication, for ``r <= 2`` exactly ``xs**r``."""
+        r = _moment_order(r)
         xs, weighted = self._weighted_nodes
-        return float(np.dot(xs**r, weighted))
+        power = np.ones_like(xs)
+        for _ in range(r):
+            power *= xs
+        return float(np.dot(power, weighted))
 
 
 def _theorem1_radical_ratio(params: WalkParams, hi: float, chord) -> np.ndarray:
@@ -385,15 +409,28 @@ def _theorem1_radical_ratio(params: WalkParams, hi: float, chord) -> np.ndarray:
     """
     p = params.rho * params.rho0
     edge = max(_radicand_given_root(hi * hi, 0.0, params, 1), 0.0)
-    chord_sq = np.square(chord)
-    outer = edge / (1.0 - hi * hi) + chord_sq
-    mean = edge + (1.0 - (p * math.cos(params.nu)) ** 2) * chord_sq
-    split = 2.0 * p * math.sin(params.nu) * chord * np.sqrt(outer)
-    total = 0.0
-    for eta in (mean + split, mean - split):
-        # Relative to the radicands' scale, which vanishes at the edge.
-        total = total + np.sqrt(np.where(eta < _RADICAND_CLAMP * mean, 0.0, eta))
-    return total / (2.0 * np.sqrt(outer))
+    # Four arrays of the chord's shape (0-d for a scalar), reused in place;
+    # each value rounds as in the array-per-step form, operands at most
+    # commuted.
+    shape = np.shape(chord)
+    chord_sq = np.square(chord, out=np.empty(shape))
+    root = np.add(chord_sq, edge / (1.0 - hi * hi), out=np.empty(shape))
+    np.sqrt(root, out=root)  # sqrt(H^2 - x^2)
+    mean = np.multiply(chord_sq, 1.0 - (p * math.cos(params.nu)) ** 2, out=chord_sq)
+    mean += edge
+    minus = np.multiply(2.0 * p * math.sin(params.nu), chord, out=np.empty(shape))
+    minus *= root
+    plus = np.add(mean, minus, out=np.empty(shape))
+    np.subtract(mean, minus, out=minus)
+    # Relative to the radicands' scale, which vanishes at the edge.
+    mean *= _RADICAND_CLAMP
+    for eta in (plus, minus):
+        np.copyto(eta, 0.0, where=eta < mean)
+        np.sqrt(eta, out=eta)
+    plus += minus
+    root *= 2.0
+    plus /= root
+    return plus
 
 
 def _special_branch_index(params: WalkParams) -> int | None:
@@ -527,10 +564,11 @@ def _spectral_nodes(
 def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float:
     """Limit moment from the momentum-space spectral decomposition.
 
-    Integrates ``(branch velocity)^r`` times the squared overlap of each
-    symbol eigenvector with the rotated coin over one momentum period,
-    with a composite Gauss-Legendre rule graded towards the momentum
-    where the gap comes closest to closing (:func:`_spectral_nodes`).
+    ``r`` is a nonnegative integer.  Integrates ``(branch velocity)^r``
+    times the squared overlap of each symbol eigenvector with the rotated
+    coin over one momentum period, with a composite Gauss-Legendre rule
+    graded towards the momentum where the gap comes closest to closing
+    (:func:`_spectral_nodes`).
     Away from the special set it takes 80 to a few hundred nodes and
     matches a 65536-node uniform trapezoid to 1e-15; at distance 1e-6
     from it, 752 nodes match :meth:`LimitLaw.moment` to 1e-10.
@@ -545,8 +583,7 @@ def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float
         below 1e-12: at the special parameter set, where the eigenvalues
         collide there, and within about 1e-6 of it.
     """
-    if r < 0:
-        raise ValueError("moment order must be nonnegative")
+    r = _moment_order(r)
     velocity, weight_plus, weight_minus = _spectral_nodes(params, coin)
     plus = np.dot((-velocity) ** r, weight_plus)
     return float(plus + np.dot(velocity**r, weight_minus))

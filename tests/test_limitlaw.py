@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,11 +26,13 @@ from scipy.special import roots_legendre
 from qwalk import (
     CoinSpinor,
     DegenerateSymbolError,
+    Distribution,
     OutOfSupportError,
     WalkParams,
     branch_radicand,
     coin_weight,
     eigensystem,
+    empirical_moment,
     extremal_momentum,
     group_velocity,
     make_limit_law,
@@ -43,7 +46,10 @@ from qwalk import (
 from qwalk.limitlaw import (
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
+    _RADICAND_CLAMP,
+    LimitLaw,
     _edge_squares,
+    _radicand_given_root,
     _spectral_nodes,
 )
 
@@ -439,6 +445,120 @@ def test_density_keeps_its_digits_next_to_the_edges(kind, params, coin, n):
         rtol=1e-13,
         atol=0.0,
     )
+
+
+def _array_per_step_ratio(params, hi, chord):
+    """``_theorem1_radical_ratio`` with one new array per step.
+
+    A test-side copy of the form the in-place evaluation replaced; it
+    takes ``sqrt(outer)`` twice.
+    """
+    p = params.rho * params.rho0
+    edge = max(_radicand_given_root(hi * hi, 0.0, params, 1), 0.0)
+    chord_sq = np.square(chord)
+    outer = edge / (1.0 - hi * hi) + chord_sq
+    mean = edge + (1.0 - (p * math.cos(params.nu)) ** 2) * chord_sq
+    split = 2.0 * p * math.sin(params.nu) * chord * np.sqrt(outer)
+    total = 0.0
+    for eta in (mean + split, mean - split):
+        total = total + np.sqrt(np.where(eta < _RADICAND_CLAMP * mean, 0.0, eta))
+    return total / (2.0 * np.sqrt(outer))
+
+
+def _array_per_step_edge_form(law, xs, chord):
+    """``LimitLaw._edge_form`` with one new array per step (see above)."""
+    vals = (1.0 + law.coeff * xs) / (np.pi * (1.0 - np.square(xs)))
+    hi = law.support_hi
+    if law.kind == "theorem1":
+        return vals * _array_per_step_ratio(law.params, hi, chord)
+    return vals * math.sqrt(1.0 - hi * hi)
+
+
+def _law_queries(law):
+    """Array and scalar queries of every route through the edge form."""
+    hi = law.support_hi
+    x = np.linspace(-1.05 * hi, 1.05 * hi, 2001)
+    theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 501)
+    return [
+        law.density(x),
+        law.density(0.3 * hi),
+        law.substituted_density(theta),
+        law.substituted_density(0.5 * math.pi),
+        law.cdf(np.linspace(-hi, hi, 200)),
+        law.cdf(-0.7 * hi),
+    ] + [law.moment(r) for r in range(3)]
+
+
+@pytest.mark.parametrize(
+    "kind, params, coin, n",
+    [(kind, params, coin, n) for params, coin, _, kind, n in REGRESSION_GRID]
+    + [
+        ("theorem1", PARAMS_SPECIAL, COIN_GEN, 0),
+        ("theorem1", WalkParams(SQ2 + 1e-6, 0.5 * math.pi - 1e-6), COIN_GEN, 0),
+    ],
+)
+def test_in_place_edge_form_changes_no_bit(kind, params, coin, n, monkeypatch):
+    """density, substituted_density, cdf and moment(0..2) equal what the
+    array-per-step edge form gives, bit for bit; moment(3..6), raised by
+    repeated multiplication, are within 1e-15 of ``xs**r``."""
+    law = make_limit_law(kind, params, coin, n=n)
+    got = _law_queries(law)
+    xs, weighted = law._weighted_nodes
+    for r in range(3, 7):
+        assert abs(law.moment(r) - float(np.dot(xs**r, weighted))) <= 1e-15
+    monkeypatch.setattr(LimitLaw, "_edge_form", _array_per_step_edge_form)
+    want = _law_queries(make_limit_law(kind, params, coin, n=n))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_cdf_allocation_peak():
+    """``cdf`` on 1e4 points of a theorem1 law allocates at most 12 MB.
+
+    About 1e4 sub-panels of 16 nodes each; the peak holds eight arrays
+    over them (nodes, weights, sine, chord and the ratio's four work
+    arrays), 10.95 MB measured, bounded here with a 10% margin.  The
+    array-per-step edge form peaked at 18.5 MB.
+    """
+    law = make_limit_law("theorem1", WalkParams(0.6, 0.7), COIN_GEN)
+    x = np.linspace(-law.support_hi, law.support_hi, 10_000)
+    tracemalloc.start()
+    try:
+        law.cdf(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+@pytest.mark.parametrize("r", [2.5, -1, 2.0])
+def test_moment_routes_refuse_orders_other_than_nonnegative_integers(r):
+    """A fractional order would raise negative positions to a fractional
+    power and return NaN; every route refuses it, as a negative one."""
+    params = WalkParams(0.6, 0.7)
+    law = make_limit_law("theorem1", params, COIN_BAL)
+    dist = Distribution(x_min=-1, probs=np.array([0.25, 0.5, 0.25]))
+    routes = (
+        law.moment,
+        lambda r: spectral_limit_moment(r, params, COIN_BAL),
+        lambda r: empirical_moment(dist, 1, r),
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            route(r)
+
+
+def test_moment_routes_take_numpy_integers():
+    params = WalkParams(0.6, 0.7)
+    law = make_limit_law("theorem1", params, COIN_BAL)
+    dist = Distribution(x_min=-1, probs=np.array([0.25, 0.5, 0.25]))
+    for r in range(5):
+        order = np.int64(r)
+        assert law.moment(order) == law.moment(r)
+        assert spectral_limit_moment(order, params, COIN_BAL) == (
+            spectral_limit_moment(r, params, COIN_BAL)
+        )
+        assert empirical_moment(dist, 1, order) == empirical_moment(dist, 1, r)
 
 
 def test_first_moment_vanishes_for_symmetric_weight():
