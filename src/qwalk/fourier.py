@@ -14,8 +14,8 @@ Conventions used throughout:
   the ``+`` branch stored first.
 * Amplitudes of the full walk at time t are recovered from the shifted
   symbol by ``psi_t(x) = exp(1j*nu*x) * R(-nu/2) @ idft[ S(k)^t @ R(nu/2) phi ](x)``
-  where ``R`` is :func:`phase_rotation`.  A 2x2 unitary ``A`` with
-  eigenvalues ``sigma*exp(+/-1j*delta)`` satisfies
+  where ``R(phi) = diag(exp(1j*phi), exp(-1j*phi))``.  A 2x2 unitary
+  ``A`` with eigenvalues ``sigma*exp(+/-1j*delta)`` satisfies
   ``A^t = sigma^(t-1) U_t A - sigma^t U_(t-1)`` with the Chebyshev
   values ``U_n = sin(n*delta) / sin(delta)``; for ``S`` that is
   ``sigma = 1j`` and ``cos(delta) = s(k)``.  Since ``S(k) v`` has only
@@ -44,8 +44,6 @@ from .walk import VARIANTS, CoinSpinor, WalkParams, WaveState, initial_state
 __all__ = [
     "DegenerateSymbolError",
     "EigenSystem",
-    "phase_rotation",
-    "momentum_symbol",
     "shifted_symbol",
     "eigensystem",
     "group_velocity",
@@ -103,12 +101,6 @@ class EigenSystem:
     normalizers: np.ndarray
 
 
-def phase_rotation(phi: float) -> np.ndarray:
-    """Diagonal phase rotation ``diag(exp(1j*phi), exp(-1j*phi))``."""
-    e = cmath.exp(1j * phi)
-    return np.array([[e, 0.0], [0.0, e.conjugate()]], dtype=np.complex128)
-
-
 def shifted_symbol(k, params: WalkParams) -> np.ndarray:
     """Shifted momentum symbol of the full walk.
 
@@ -128,15 +120,6 @@ def shifted_symbol(k, params: WalkParams) -> np.ndarray:
     out[..., 1, 0] = np.conj(d)
     out[..., 1, 1] = np.conj(c)
     return out
-
-
-def momentum_symbol(k, params: WalkParams) -> np.ndarray:
-    """Momentum symbol of the full walk before the nu-shift.
-
-    Equal to ``shifted_symbol(k - nu, params)``; the walk step itself is
-    recovered as ``phase_rotation(-nu/2) @ momentum_symbol(k) @ phase_rotation(nu/2)``.
-    """
-    return shifted_symbol(np.asarray(k, dtype=float) - params.nu, params)
 
 
 def _one_plus_minus(sin_y, cos_y):

@@ -23,8 +23,6 @@ __all__ = [
     "ComparisonReport",
     "empirical_moment",
     "kolmogorov_distance",
-    "rescaled_density_points",
-    "envelope_deviation",
     "run_comparison",
 ]
 
@@ -109,30 +107,6 @@ def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
     return float(np.max(np.abs(gap, out=gap)))
 
 
-def rescaled_density_points(
-    law: LimitLaw, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site limit approximation ``(x, density(x/t)/t)`` for ``x in [-t, t]``."""
-    if t < 1:
-        raise ValueError("rescaling time must be at least 1")
-    positions = np.arange(-t, t + 1)
-    approx = law.density(positions / t) / t
-    return positions, approx
-
-
-def envelope_deviation(report: ComparisonReport) -> float:
-    """Mean absolute gap between the limit points and the smoothed simulation.
-
-    Smooths the simulated probabilities with the report's moving-average
-    window before comparing, since the finite-time distribution
-    oscillates site to site around the density envelope.
-    """
-    width = report.smoothing_width
-    kernel = np.full(width, 1.0 / width)
-    smooth = np.convolve(report.simulated, kernel, mode="same")
-    return float(np.mean(np.abs(report.approx - smooth)))
-
-
 def run_comparison(
     params: WalkParams,
     coin: CoinSpinor,
@@ -152,12 +126,10 @@ def run_comparison(
     degenerates to rescaling by 1; :func:`~qwalk.fourier.evolve_fourier`
     refuses a negative ``t`` with a ``ValueError``.
     """
-    allowed = VARIANT_LAWS.get(variant)
-    if allowed is None:
-        raise ValueError(f"unknown variant {variant!r}")
-    if law_kind not in allowed:
+    if law_kind not in VARIANT_LAWS.get(variant, ()):
         raise ValueError(
-            f"law kind {law_kind!r} inconsistent with variant {variant!r}"
+            f"law kind {law_kind!r} does not fit variant {variant!r};"
+            f" the pairs are {VARIANT_LAWS}"
         )
     law = make_limit_law(law_kind, params, coin, n=n)
     dist = distribution(evolve_fourier(coin, params, t, variant=variant))

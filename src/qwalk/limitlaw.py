@@ -6,11 +6,8 @@ This module evaluates that law and every scalar function entering it:
 
 * ``support_polynomial`` -- the quartic whose positivity delimits the
   support,
-* ``branch_radicand`` -- the two radicands combined in the density
-  numerator,
-* ``coin_weight`` -- the affine weight carrying the initial-coin bias,
-* ``support_halfwidth`` / ``extremal_momentum`` -- the support edge and
-  the momentum where the group velocity attains it,
+* ``support_halfwidth`` -- the support edge ``h*``, the peak of the
+  group velocity,
 * ``momentum_branch`` / ``momentum_branch_derivative`` -- the two
   inverse branches of the group velocity and their derivative,
 * ``spectral_limit_moment`` -- limit moments straight from the
@@ -64,10 +61,7 @@ __all__ = [
     "LimitLaw",
     "make_limit_law",
     "support_polynomial",
-    "branch_radicand",
-    "coin_weight",
     "support_halfwidth",
-    "extremal_momentum",
     "momentum_branch",
     "momentum_branch_derivative",
     "spectral_limit_moment",
@@ -145,27 +139,6 @@ def _radicand_given_root(x_sq, sqrt_xi, params: WalkParams, sign: int):
     return const - slope * x_sq + 2.0 * sign * params.rho * params.rho0 * sv * sqrt_xi
 
 
-def branch_radicand(x, params: WalkParams, sign: int):
-    """One of the two radicands in the density numerator.
-
-    ``1 - p^2 (1+sin(nu)^2) - (1 - p^2 cos(nu)^2) x^2 +/- 2 p sin(nu) sqrt(xi)``
-    with ``p = rho*rho0`` and ``xi`` the support polynomial.  ``sign``
-    is +1 or -1 and selects the branch.
-
-    Raises
-    ------
-    OutOfSupportError
-        If the support polynomial is negative anywhere in ``x``.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    xi = support_polynomial(x, params)
-    if np.any(np.asarray(xi) < 0.0):
-        raise OutOfSupportError("argument outside the support interval")
-    x_sq = np.square(np.asarray(x, dtype=float))
-    return _like_input(x, _radicand_given_root(x_sq, np.sqrt(xi), params, sign))
-
-
 def _coin_cross(coin: CoinSpinor) -> complex:
     return coin.a0 * complex(coin.a1).conjugate()
 
@@ -178,16 +151,6 @@ def _general_coefficient(params: WalkParams, coin: CoinSpinor) -> float:
         - (2.0 * params.rho0 / params.rho)
         * (cross.real * math.cos(params.nu) - cross.imag * math.sin(params.nu))
     )
-
-
-def coin_weight(x, params: WalkParams, coin: CoinSpinor):
-    """Affine weight ``1 + coeff * x`` carrying the initial-coin bias.
-
-    ``coeff = |a0|^2 - |a1|^2 - (2 rho0/rho)(Re(a0 conj(a1)) cos(nu)
-    - Im(a0 conj(a1)) sin(nu))``.
-    """
-    out = 1.0 + _general_coefficient(params, coin) * np.asarray(x, dtype=float)
-    return _like_input(x, out)
 
 
 def _edge_squares(params: WalkParams) -> tuple[float, float, float]:
@@ -226,16 +189,6 @@ def support_halfwidth(params: WalkParams) -> float:
     if lo <= 0.25 * hi:
         return 0.5 * (hi - lo)
     return 2.0 * p / (hi + lo)
-
-
-def extremal_momentum(params: WalkParams) -> float:
-    """Momentum in ``[-pi/2, pi/2]`` where the group velocity peaks at ``h*``."""
-    sv = math.sin(params.nu)
-    if sv == 0.0:
-        return 0.0
-    p, lo_sq, hi_sq = _edge_squares(params)
-    num = -1.0 + p * p * (1.0 + sv * sv) + math.sqrt(lo_sq * hi_sq)
-    return math.asin(max(-1.0, min(1.0, num / (2.0 * p * p * sv))))
 
 
 def _branch_argument(x, params: WalkParams, sign: int) -> np.ndarray:
@@ -290,7 +243,8 @@ class LimitLaw:
     """A fully specified limit density.
 
     Built by :func:`make_limit_law`; carries the support half-width and
-    the linear coefficient of its weight so that evaluation needs no
+    the coefficient ``coeff`` of the affine weight ``1 + coeff*x`` that
+    carries the initial-coin bias, so that evaluation needs no
     revalidation.
     """
 

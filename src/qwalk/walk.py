@@ -27,7 +27,6 @@ __all__ = [
     "initial_state",
     "step_full",
     "step_cmv_only",
-    "swap_coin",
     "evolve",
     "distribution",
 ]
@@ -219,13 +218,6 @@ def step_cmv_only(state: WaveState, params: WalkParams) -> WaveState:
     out[:-2, 1] += ac0 * a + rho0 * rho0 * b
     out[1:-1, 1] += ac0 * a - (rho * rho) * b
     return WaveState(time=state.time + 1, x_min=state.x_min - 1, amps=out)
-
-
-def swap_coin(state: WaveState) -> WaveState:
-    """Exchange the two amplitude components at every site."""
-    return WaveState(
-        time=state.time, x_min=state.x_min, amps=state.amps[:, ::-1].copy()
-    )
 
 
 _STEP_FUNCS = {"full": step_full, "cmv_only": step_cmv_only}

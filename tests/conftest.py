@@ -4,7 +4,11 @@ The dense operators below are assembled directly from the three-band
 (interleaved five-diagonal) form of the step unitary and, independently,
 from its four local factors.  They never touch the vectorised stepping
 code in ``qwalk.walk``, so agreement between the two is a genuine
-cross-check rather than a tautology.
+cross-check rather than a tautology.  The module also holds the
+reference functions that only the tests call (``phase_rotation``,
+``branch_radicand``, ``extremal_momentum``, ``envelope_deviation``) and
+the closed-form CDF that the ``cmv_only`` and ``standard`` laws are
+checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +18,14 @@ import math
 
 import numpy as np
 
-from qwalk import CoinSpinor, WalkParams, WaveState
+from qwalk import ComparisonReport, CoinSpinor, WalkParams, WaveState
+from qwalk.fourier import _like_input
+from qwalk.limitlaw import (
+    OutOfSupportError,
+    _edge_squares,
+    _radicand_given_root,
+    support_polynomial,
+)
 
 SQ2 = math.sqrt(0.5)
 
@@ -66,6 +77,60 @@ def closed_form_cdf(x, half_width: float, coeff: float) -> np.ndarray:
     xs = np.clip(np.asarray(x, dtype=float), -a, a)
     s = np.sqrt((a - xs) * (a + xs))
     return 0.5 + (np.arctan2(b * xs, s) - coeff * np.arctan2(s, b)) / np.pi
+
+
+# Reference implementations that only the tests call, kept as the
+# package had them.
+
+
+def phase_rotation(phi: float) -> np.ndarray:
+    """Diagonal phase rotation ``diag(exp(1j*phi), exp(-1j*phi))``."""
+    e = cmath.exp(1j * phi)
+    return np.array([[e, 0.0], [0.0, e.conjugate()]], dtype=np.complex128)
+
+
+def branch_radicand(x, params: WalkParams, sign: int):
+    """One of the two radicands in the density numerator.
+
+    ``1 - p^2 (1+sin(nu)^2) - (1 - p^2 cos(nu)^2) x^2 +/- 2 p sin(nu) sqrt(xi)``
+    with ``p = rho*rho0`` and ``xi`` the support polynomial.  ``sign``
+    is +1 or -1 and selects the branch.
+
+    Raises
+    ------
+    OutOfSupportError
+        If the support polynomial is negative anywhere in ``x``.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    xi = support_polynomial(x, params)
+    if np.any(np.asarray(xi) < 0.0):
+        raise OutOfSupportError("argument outside the support interval")
+    x_sq = np.square(np.asarray(x, dtype=float))
+    return _like_input(x, _radicand_given_root(x_sq, np.sqrt(xi), params, sign))
+
+
+def extremal_momentum(params: WalkParams) -> float:
+    """Momentum in ``[-pi/2, pi/2]`` where the group velocity peaks at ``h*``."""
+    sv = math.sin(params.nu)
+    if sv == 0.0:
+        return 0.0
+    p, lo_sq, hi_sq = _edge_squares(params)
+    num = -1.0 + p * p * (1.0 + sv * sv) + math.sqrt(lo_sq * hi_sq)
+    return math.asin(max(-1.0, min(1.0, num / (2.0 * p * p * sv))))
+
+
+def envelope_deviation(report: ComparisonReport) -> float:
+    """Mean absolute gap between the limit points and the smoothed simulation.
+
+    Smooths the simulated probabilities with the report's moving-average
+    window before comparing, since the finite-time distribution
+    oscillates site to site around the density envelope.
+    """
+    width = report.smoothing_width
+    kernel = np.full(width, 1.0 / width)
+    smooth = np.convolve(report.simulated, kernel, mode="same")
+    return float(np.mean(np.abs(report.approx - smooth)))
 
 
 def _idx(x: int, c: int, span: int) -> int:

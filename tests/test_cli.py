@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -710,6 +711,12 @@ def test_bad_grid_exits_2(tmp_path):
     assert run_cli(
         "sweep", "--grid", "0.2,0.8,3,0,pi", "--out", tmp_path / "x"
     ) == 2
+    # More points than simulate's rows at MAX_STEPS, refused before the
+    # grid is built; never run a grid near that limit.
+    assert run_cli(
+        "sweep", "--grid", "0.2,0.8,1000000,0,pi,1000000", "--out", tmp_path / "x"
+    ) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_law_variant_mismatch_exits_2(tmp_path):
@@ -724,6 +731,26 @@ def test_law_variant_mismatch_exits_2(tmp_path):
         tmp_path / "x",
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("simulate", "variant=sideways"),
+        ("compare", "variant=sideways"),
+        ("compare", "law=bogus"),
+        ("compare", "law=cmv_only"),
+        ("density", "law=bogus"),
+    ],
+)
+def test_bad_variant_or_law_from_config_exits_2(tmp_path, capsys, command, line):
+    """A config file bypasses argparse's ``choices``; the library refuses."""
+    out = tmp_path / "never.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rho=0.6\nnu=1.0\nt=10\n{line}\nout={out}\n")
+    assert run_cli(command, "--config", cfg) == 2
+    assert not out.exists()
+    assert line.partition("=")[2] in capsys.readouterr().err
 
 
 def test_standard_law_off_special_exits_2(tmp_path):
@@ -772,6 +799,16 @@ def test_package_and_compare_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert out.read_text().startswith("# schema_version,")
+
+
+def test_readme_quick_start_runs(capsys):
+    """Every ``python`` block of the README runs against the package."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_package_namespace_is_the_submodules_public_names():

@@ -17,6 +17,7 @@ from conftest import (
     PARAMS_SPECIAL,
     REGRESSION_GRID,
     SQ2,
+    phase_rotation,
 )
 from scipy.fft import dct, next_fast_len
 
@@ -30,8 +31,6 @@ from qwalk import (
     evolve_fourier,
     group_velocity,
     initial_state,
-    momentum_symbol,
-    phase_rotation,
     shifted_symbol,
 )
 from qwalk.fourier import (
@@ -70,20 +69,10 @@ def test_momentum_symbol_unitary_at_random_momenta():
     params = WalkParams(0.3, 2.0)
     rng = np.random.default_rng(7)
     for k in rng.uniform(-math.pi, math.pi, size=64):
-        mat = momentum_symbol(float(k), params)
+        mat = shifted_symbol(float(k) - params.nu, params)
         np.testing.assert_allclose(
             mat.conj().T @ mat, np.eye(2), atol=1e-12
         )
-
-
-def test_momentum_symbol_is_shifted_symbol_of_shifted_argument():
-    params = WalkParams(0.55, 0.9)
-    ks = np.linspace(-math.pi, math.pi, 17)
-    np.testing.assert_allclose(
-        momentum_symbol(ks + params.nu, params),
-        shifted_symbol(ks, params),
-        atol=1e-14,
-    )
 
 
 def test_one_step_in_momentum_space_matches_lattice():
@@ -93,7 +82,7 @@ def test_one_step_in_momentum_space_matches_lattice():
     for k in (-2.0, -0.3, 0.0, 0.71, 2.9):
         momentum_step = (
             phase_rotation(-params.nu / 2)
-            @ momentum_symbol(k, params)
+            @ shifted_symbol(k - params.nu, params)
             @ phase_rotation(params.nu / 2)
         )
         np.testing.assert_allclose(

@@ -12,6 +12,7 @@ from conftest import (
     PARAMS_SPECIAL,
     PARAMS_CANONICAL,
     REGRESSION_GRID,
+    envelope_deviation,
 )
 from scipy.integrate import cumulative_trapezoid
 
@@ -20,12 +21,10 @@ from qwalk import (
     WalkParams,
     distribution,
     empirical_moment,
-    envelope_deviation,
     evolve,
     evolve_fourier,
     kolmogorov_distance,
     make_limit_law,
-    rescaled_density_points,
     run_comparison,
     support_halfwidth,
 )
@@ -123,17 +122,16 @@ def test_kolmogorov_distance_decreases_along_time():
 
 
 def test_rescaled_density_points_window_and_mass():
+    """The report's per-site points ``density(x/t)/t`` over ``[-t, t]``."""
     params = WalkParams(0.85, -1.3)
-    law = make_limit_law("theorem1", params, COIN_RIGHT)
     t = 500
-    positions, approx = rescaled_density_points(law, t)
+    report = run_comparison(params, COIN_RIGHT, t)
+    positions, approx = report.positions, report.approx
     assert positions[0] == -t and positions[-1] == t
     # Riemann sum of the lattice approximation over unit cells
     assert abs(float(np.sum(approx)) - 1.0) <= 5e-3
     outside = np.abs(positions) > support_halfwidth(params) * t
     assert np.max(approx[outside]) == 0.0
-    with pytest.raises(ValueError):
-        rescaled_density_points(law, 0)
 
 
 def test_envelope_tracks_smoothed_simulation():

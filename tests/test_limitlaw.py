@@ -18,7 +18,10 @@ from conftest import (
     PARAMS_CANONICAL,
     REGRESSION_GRID,
     SQ2,
+    branch_radicand,
     closed_form_cdf,
+    extremal_momentum,
+    phase_rotation,
 )
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import roots_legendre
@@ -29,16 +32,12 @@ from qwalk import (
     Distribution,
     OutOfSupportError,
     WalkParams,
-    branch_radicand,
-    coin_weight,
     eigensystem,
     empirical_moment,
-    extremal_momentum,
     group_velocity,
     make_limit_law,
     momentum_branch,
     momentum_branch_derivative,
-    phase_rotation,
     spectral_limit_moment,
     support_halfwidth,
     support_polynomial,
@@ -129,19 +128,16 @@ def test_branch_radicand_rejects_bad_arguments():
 
 
 def test_coin_weight_right_coin_is_one_plus_x():
-    params = WalkParams(0.77, -0.9)
-    xs = np.linspace(-0.5, 0.5, 11)
-    np.testing.assert_allclose(
-        coin_weight(xs, params, COIN_RIGHT), 1.0 + xs, atol=1e-15
-    )
+    """The right coin has no bias term: the weight ``1 + coeff*x`` is ``1 + x``."""
+    law = make_limit_law("theorem1", WalkParams(0.77, -0.9), COIN_RIGHT)
+    assert law.coeff == pytest.approx(1.0, abs=1e-15)
 
 
 def test_coin_weight_real_balanced_coin_nu_zero():
     """(1/sqrt2, 1/sqrt2) at nu=0, rho=1/sqrt2: coefficient -1, weight 1-x."""
-    params = WalkParams(SQ2, 0.0)
     coin = CoinSpinor(SQ2, SQ2)
-    assert coin_weight(0.25, params, coin) == pytest.approx(0.75, abs=1e-14)
-    assert coin_weight(-1.0, params, coin) == pytest.approx(2.0, abs=1e-14)
+    law = make_limit_law("theorem1", WalkParams(SQ2, 0.0), coin)
+    assert law.coeff == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_weighted_density_keeps_unit_mass():

@@ -25,12 +25,12 @@ from conftest import (
 from qwalk import (
     CoinSpinor,
     WalkParams,
+    WaveState,
     distribution,
     evolve,
     initial_state,
     step_cmv_only,
     step_full,
-    swap_coin,
 )
 
 STEP_FUNCS = {"full": step_full, "cmv_only": step_cmv_only}
@@ -170,7 +170,10 @@ def test_step_full_equals_swap_free_of_swapped_state():
     params = WalkParams(0.6, 1.0)
     state = evolve(COIN_BAL, params, 5)
     via_full = step_full(state, params)
-    via_swap = step_cmv_only(swap_coin(state), params)
+    swapped = WaveState(
+        time=state.time, x_min=state.x_min, amps=state.amps[:, ::-1]
+    )
+    via_swap = step_cmv_only(swapped, params)
     np.testing.assert_allclose(via_full.amps, via_swap.amps, atol=1e-14)
 
 
@@ -229,9 +232,3 @@ def test_two_step_distribution_against_dense_oracle():
     got[span - 2 : span + 3] = dist.probs
     np.testing.assert_allclose(got, expected, atol=1e-14)
     assert dist.total() == pytest.approx(1.0, abs=1e-14)
-
-
-def test_swap_coin_is_an_involution():
-    state = evolve(COIN_GEN, PARAMS_CANONICAL, 3)
-    back = swap_coin(swap_coin(state))
-    np.testing.assert_allclose(back.amps, state.amps, atol=0.0)
