@@ -3,15 +3,14 @@
 "Empirical" here always means exactly computed finite-time
 probabilities: the evolution is unitary and deterministic, nothing is
 sampled.  The harness rescales positions by time, measures the
-Kolmogorov (sup-CDF) distance to a limit law, tracks moment errors, and
-produces the per-site point approximation ``density(x/t)/t`` that can be
-overlaid on a simulated distribution.
+Kolmogorov (two-sided sup-CDF) distance to a limit law, tracks moment
+errors, and produces the per-site point approximation ``density(x/t)/t``
+that can be overlaid on a simulated distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "run_comparison",
 ]
 
-_CDF_GRID_NODES = 8193
 _SMOOTHING_WIDTH = 5
 
 
@@ -70,41 +68,22 @@ def empirical_moment(dist: Distribution, t: int, r: int) -> float:
     return float(np.sum(xs))
 
 
-# Each table holds two 8193-node arrays (131 KB).  A few entries keep the
-# tables of a handful of laws that are scored again and again warm
-# without letting a run over many distinct laws grow without bound.
-@lru_cache(maxsize=16)
-def _cdf_table(law: LimitLaw) -> tuple[np.ndarray, np.ndarray]:
-    """Limit CDF sampled on an edge-clustered grid over the support.
-
-    The grid is uniform in the substitution angle ``x = hi * sin(theta)``
-    so nodes cluster at the support edges where the density diverges;
-    per-panel CDF mass stays ~1e-4 even there, which bounds the
-    interpolation error of the Kolmogorov scan.  The integrand is the
-    law's density in the angle, finite at both end nodes.
-    """
-    theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _CDF_GRID_NODES)
-    xs = law.support_hi * np.sin(theta)
-    dens = law.substituted_density(theta)
-    # cumulative trapezoid, starting at 0 on the left edge
-    panels = np.diff(theta) * (dens[1:] + dens[:-1]) / 2.0
-    return xs, np.concatenate(([0.0], np.cumsum(panels)))
-
-
 def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
-    """Sup over lattice sites of ``|F_empirical(x) - F_limit(x/t)|``.
+    """Sup over the real line of ``|F_empirical(x) - F_limit(x/t)|``.
 
-    The empirical CDF is evaluated at (the right limit of) each site;
-    the limit CDF comes from a precomputed monotone interpolant.
+    With nonnegative masses the empirical CDF only steps up, so it is
+    furthest above the monotone limit CDF at a site's right limit and
+    furthest below at its left limit; both are scanned, against the
+    law's table of its own :meth:`~qwalk.limitlaw.LimitLaw.cdf`.
     """
     if t < 1:
         raise ValueError("rescaling time must be at least 1")
-    xs_grid, cdf_grid = _cdf_table(law)
-    rescaled = dist.positions() / t
+    xs_grid, cdf_grid = law._cdf_table
     gap = np.cumsum(dist.probs)
-    lim = np.interp(rescaled, xs_grid, cdf_grid, left=0.0, right=cdf_grid[-1])
-    np.subtract(gap, lim, out=gap)
-    return float(np.max(np.abs(gap, out=gap)))
+    gap -= np.interp(dist.positions() / t, xs_grid, cdf_grid)
+    above = gap.max()
+    gap -= dist.probs
+    return float(max(above, -gap.min()))
 
 
 def run_comparison(

@@ -30,11 +30,11 @@ Each law has one formula, its edge form: the density times the chord
 analytically, so it is finite up to the edges and keeps its digits
 there.  :meth:`LimitLaw.density` divides it by the chord, and cdf/moment
 quadrature substitutes ``x = h* sin(theta)``, where the chord is
-``h* cos(theta)`` and the integrand is the edge form itself
-(:meth:`LimitLaw.substituted_density`).  One composite Gauss-Legendre
-rule per law, 64 equal theta-panels of 16 nodes, integrates it; equal
-panels keep the error local where the integrand varies fast, next to
-the special parameter set.
+``h* cos(theta)`` and the integrand is the edge form itself.  One
+composite Gauss-Legendre rule per law, 64 equal theta-panels of 16
+nodes, integrates it; equal panels keep the error local where the
+integrand varies fast, next to the special parameter set.  The law's one
+CDF is the antiderivative of each panel's interpolant through the rule.
 
 The spectral route integrates over momentum instead, with the same
 16-point rule on panels that halve towards ``k = -/+pi/2``, where the
@@ -78,7 +78,8 @@ LAW_KINDS = tuple(kind for kinds in VARIANT_LAWS.values() for kind in kinds)
 _RADICAND_CLAMP = 1e-13
 _SPECIAL_PARAM_TOL = 1e-9
 
-_PANEL_EDGES = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 65)
+_PANELS = 64
+_PANEL_EDGES = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _PANELS + 1)
 # The 16-point Gauss-Legendre rule on [-1, 1] exactly as
 # scipy.special.roots_legendre(16) gives it, as (node, weight) for the
 # positive nodes of the symmetric rule.  numpy's leggauss(16) differs in
@@ -102,6 +103,33 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray):
     """Legendre nodes and weights on panels ``[lo[i], hi[i]]``, each ``(P, 16)``."""
     half = 0.5 * (hi - lo)[:, None]
     return lo[:, None] + half * (_LEGENDRE_NODES + 1.0), half * _LEGENDRE_WEIGHTS
+
+
+def _legendre_table(s: np.ndarray, top: int) -> np.ndarray:
+    """Rows ``P_0(s) .. P_top(s)`` by recurrence, exactly ``(+-1)**n`` at ``+-1``."""
+    table = np.empty((top + 1, s.size))
+    table[0], table[1] = 1.0, s
+    for n in range(1, top):
+        table[n + 1] = ((2 * n + 1) * s * table[n] - n * table[n - 1]) / (n + 1)
+    return table
+
+
+def _left_shares(s: np.ndarray) -> np.ndarray:
+    """Share of each node's weight left of ``s`` in ``[-1, 1]``, ``(len(s), 16)``.
+
+    The interpolant's Lagrange basis is ``l_k = w_k sum_n (n + 1/2) P_n(x_k)
+    P_n``, and ``P_n`` integrates from -1 to ``(P_(n+1) - P_(n-1))/(2n + 1)``;
+    the shares are exactly 0 at ``s = -1`` and 1 at ``s = 1``.
+    """
+    table = _legendre_table(s, 16)
+    shares = (table[2:] - table[:-2]).T @ _NODE_LEGENDRE
+    return 0.5 * (shares + (s + 1.0)[:, None])
+
+
+_NODE_LEGENDRE = _legendre_table(_LEGENDRE_NODES, 15)[1:]
+# The Kolmogorov table steps 128 times per panel, uniformly in theta.
+_TABLE_SHARES = _left_shares(np.arange(128) / 64.0 - 1.0)
+_TABLE_SINES = np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, _PANELS * 128 + 1))
 
 
 def _moment_order(r) -> int:
@@ -294,62 +322,54 @@ class LimitLaw:
         out = np.where(inside, self._edge_form(xs, chord) / chord, 0.0)
         return _like_input(x, out)
 
-    def substituted_density(self, theta):
-        """Density in the edge angle: ``density(h* sin(theta)) * h* cos(theta)``.
-
-        The edge form at ``x = h* sin(theta)``, finite on the closed
-        interval ``[-pi/2, pi/2]``, edges included.
-        """
-        theta_arr = np.asarray(theta, dtype=float)
-        hi = self.support_hi
-        vals = self._edge_form(hi * np.sin(theta_arr), hi * np.cos(theta_arr))
-        return _like_input(theta, vals)
-
     @cached_property
-    def _weighted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes ``x`` of the composite rule and integrand times weight there."""
+    def _weighted_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes ``x`` of the composite rule, integrand times weight there,
+        each ``(64, 16)``, and the CDF at the 65 panel edges."""
         theta, weights = _panel_rule(_PANEL_EDGES[:-1], _PANEL_EDGES[1:])
-        theta, weights = theta.ravel(), weights.ravel()
         xs = self.support_hi * np.sin(theta)
         weights *= self._edge_form(xs, self.support_hi * np.cos(theta))
-        return xs, weights
+        return xs, weights, np.concatenate(([0.0], np.cumsum(weights.sum(axis=1))))
+
+    @cached_property
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, cdf(x))`` at 8193 nodes uniform in theta, for interpolation:
+        clustered at the edges, where the density diverges, so each step
+        holds about 1e-4 of the mass."""
+        _, weighted, cum = self._weighted_nodes
+        steps = weighted @ _TABLE_SHARES.T + cum[:-1, None]
+        return self.support_hi * _TABLE_SINES, np.append(steps, cum[-1])
 
     def cdf(self, x):
         """Cumulative distribution at ``x``, any shape; a float for scalar ``x``.
 
-        The query angles ``asin(x/h*)`` split the composite rule's panels;
-        one integrand call covers every sub-panel and a cumulative sum of
-        the sub-panel integrals is read back at each query.  The sums are
-        non-negative, so the result is monotone in ``x``; it is 0 for
-        ``x <= -h*``.
+        The CDF at the left edge of the panel of ``asin(x/h*)`` plus each
+        node's weighted value times its share left of it (the interpolant's
+        antiderivative, :func:`_left_shares`); 0 for ``x <= -h*``.
         """
         hi = self.support_hi
         x_arr = np.asarray(x, dtype=float)
         flat = x_arr.ravel()
-        # asin(x/h*) in half-angle form: rounding x/h* next to +-1 would
-        # move the angle by ~1e-8, this keeps it to ~1e-16.
-        tail = np.sqrt(np.maximum(hi - np.abs(flat), 0.0) / (2.0 * hi))
-        abs_theta = np.maximum(0.5 * np.pi - 2.0 * np.arcsin(tail), 0.0)
-        theta_q = np.copysign(abs_theta, flat)
-        points = np.concatenate((_PANEL_EDGES, theta_q))
-        order = np.argsort(points, kind="stable")
-        bounds = points[order]
-        theta, weights = _panel_rule(bounds[:-1], bounds[1:])
-        panels = np.sum(weights * self.substituted_density(theta), axis=1)
-        cum = np.concatenate(([0.0], np.cumsum(panels)))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return _like_input(x, cum[rank[_PANEL_EDGES.size :]].reshape(x_arr.shape))
+        # theta + pi/2 for theta = asin(x/h*), in panel widths; the angle to
+        # the nearer edge in half-angle form: rounding x/h* next to +-1
+        # would move it by ~1e-8, this keeps it to ~1e-16.
+        rim = 2.0 * np.arcsin(np.sqrt(np.maximum(hi - np.abs(flat), 0.0) / hi / 2.0))
+        u = np.where(flat < 0.0, rim, np.pi - rim) * (_PANELS / np.pi)
+        panel = np.minimum(u.astype(np.intp), _PANELS - 1)
+        shares = _left_shares(np.minimum(2.0 * (u - panel) - 1.0, 1.0))
+        _, weighted, cum = self._weighted_nodes
+        vals = cum[panel] + np.einsum("ij,ij->i", shares, weighted[panel])
+        return _like_input(x, vals.reshape(x_arr.shape))
 
     def moment(self, r: int) -> float:
         """r-th moment of the law, ``r`` a nonnegative integer; the nodes'
         powers by repeated multiplication, for ``r <= 2`` exactly ``xs**r``."""
         r = _moment_order(r)
-        xs, weighted = self._weighted_nodes
+        xs, weighted, _ = self._weighted_nodes
         power = np.ones_like(xs)
         for _ in range(r):
             power *= xs
-        return float(np.dot(power, weighted))
+        return float(np.dot(power.ravel(), weighted.ravel()))
 
 
 def _theorem1_radical_ratio(params: WalkParams, hi: float, chord) -> np.ndarray:

@@ -6,9 +6,9 @@ from its four local factors.  They never touch the vectorised stepping
 code in ``qwalk.walk``, so agreement between the two is a genuine
 cross-check rather than a tautology.  The module also holds the
 reference functions that only the tests call (``phase_rotation``,
-``branch_radicand``, ``extremal_momentum``, ``envelope_deviation``) and
-the closed-form CDF that the ``cmv_only`` and ``standard`` laws are
-checked against.
+``branch_radicand``, ``extremal_momentum``, ``envelope_deviation``), the
+closed-form CDF that the ``cmv_only`` and ``standard`` laws are checked
+against, and the sub-panel CDF that every law's CDF is checked against.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import numpy as np
 from qwalk import ComparisonReport, CoinSpinor, WalkParams, WaveState
 from qwalk.fourier import _like_input
 from qwalk.limitlaw import (
+    _PANEL_EDGES,
     OutOfSupportError,
     _edge_squares,
+    _panel_rule,
     _radicand_given_root,
     support_polynomial,
 )
@@ -81,6 +83,33 @@ def closed_form_cdf(x, half_width: float, coeff: float) -> np.ndarray:
 
 # Reference implementations that only the tests call, kept as the
 # package had them.
+
+
+def subpanel_cdf(law, x):
+    """``law``'s CDF with the query angles ``asin(x/h*)`` splitting its panels.
+
+    Each sub-panel is integrated by its own 16-point rule on fresh edge-form
+    values, and a cumulative sum of the sub-panel integrals is read back at
+    each query: the package's CDF before it read the law's cached nodes.
+    """
+    hi = law.support_hi
+    x_arr = np.asarray(x, dtype=float)
+    flat = x_arr.ravel()
+    # asin(x/h*) in half-angle form: rounding x/h* next to +-1 would
+    # move the angle by ~1e-8, this keeps it to ~1e-16.
+    tail = np.sqrt(np.maximum(hi - np.abs(flat), 0.0) / (2.0 * hi))
+    abs_theta = np.maximum(0.5 * np.pi - 2.0 * np.arcsin(tail), 0.0)
+    theta_q = np.copysign(abs_theta, flat)
+    points = np.concatenate((_PANEL_EDGES, theta_q))
+    order = np.argsort(points, kind="stable")
+    bounds = points[order]
+    theta, weights = _panel_rule(bounds[:-1], bounds[1:])
+    integrand = law._edge_form(hi * np.sin(theta), hi * np.cos(theta))
+    panels = np.sum(weights * integrand, axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(panels)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return _like_input(x, cum[rank[_PANEL_EDGES.size :]].reshape(x_arr.shape))
 
 
 def phase_rotation(phi: float) -> np.ndarray:

@@ -14,7 +14,6 @@ from conftest import (
     REGRESSION_GRID,
     envelope_deviation,
 )
-from scipy.integrate import cumulative_trapezoid
 
 from qwalk import (
     Distribution,
@@ -28,7 +27,6 @@ from qwalk import (
     run_comparison,
     support_halfwidth,
 )
-from qwalk.harness import _cdf_table
 
 
 def test_empirical_moment_zeroth_is_total_mass():
@@ -69,11 +67,12 @@ def test_empirical_moment_rejects_bad_arguments():
 
 
 def test_kolmogorov_distance_vanishes_on_discretized_law():
-    """The metric nearly vanishes on masses sampled from the law itself.
+    """On masses sampled from the law itself the metric is the largest mass.
 
     Masses are CDF increments over ``((x-1)/t, x/t]`` so the empirical
-    CDF agrees with the law at every site, which is exactly where the
-    sup is taken; what remains is interpolation error of the CDF table.
+    CDF agrees with the law at every site from the right; from the left
+    it is one mass short.  What remains is interpolation error of the
+    law's CDF table.
     """
     t = 500
     law = make_limit_law("theorem1", PARAMS_CANONICAL, COIN_BAL)
@@ -82,7 +81,7 @@ def test_kolmogorov_distance_vanishes_on_discretized_law():
     masses = np.maximum(masses, 0.0)
     masses /= masses.sum()
     dist = Distribution(x_min=-t, probs=masses)
-    assert kolmogorov_distance(dist, t, law) <= 5e-4
+    assert abs(kolmogorov_distance(dist, t, law) - np.max(masses)) <= 5e-4
 
 
 def test_kolmogorov_distance_bounds_and_validation():
@@ -96,15 +95,19 @@ def test_kolmogorov_distance_bounds_and_validation():
 
 @pytest.mark.parametrize("params, coin, variant, law_kind, n", REGRESSION_GRID[::3])
 def test_kolmogorov_distance_is_the_plain_sup(params, coin, variant, law_kind, n):
-    """The in-place scan returns max |cumsum - interp| bit for bit."""
+    """The in-place scan returns the larger of max |cumsum - interp| and
+    max |cumsum - probs - interp| (right and left limits) bit for bit."""
     t = 300
     law = make_limit_law(law_kind, params, coin, n=n)
     dist = distribution(evolve(coin, params, t, variant=variant))
-    xs_grid, cdf_grid = _cdf_table(law)
+    xs_grid, cdf_grid = law._cdf_table
     lim = np.interp(
         dist.positions() / t, xs_grid, cdf_grid, left=0.0, right=cdf_grid[-1]
     )
-    expected = float(np.max(np.abs(np.cumsum(dist.probs) - lim)))
+    cum = np.cumsum(dist.probs)
+    expected = float(
+        max(np.max(np.abs(cum - lim)), np.max(np.abs(cum - lim - dist.probs)))
+    )
     assert kolmogorov_distance(dist, t, law) == expected
 
 
@@ -235,25 +238,7 @@ def test_run_comparison_matches_lattice_oracle(params, coin, variant, law_kind, 
     + [(PARAMS_SPECIAL, COIN_BAL, "theorem1", 0)],
 )
 def test_cdf_table_ends_at_unit_mass(params, coin, law_kind, n):
-    """The table's end nodes carry the integrand's edge limits, not zero."""
-    _, cdf = _cdf_table(make_limit_law(law_kind, params, coin, n=n))
+    """The law's CDF table runs from exactly 0 to 1 within 1e-9."""
+    _, cdf = make_limit_law(law_kind, params, coin, n=n)._cdf_table
     assert cdf[0] == 0.0
     assert abs(cdf[-1] - 1.0) <= 1e-9
-
-
-@pytest.mark.parametrize(
-    "params, coin, law_kind, n",
-    [(params, coin, kind, n) for params, coin, _, kind, n in REGRESSION_GRID],
-)
-def test_cdf_table_matches_scipy_cumulative_trapezoid(params, coin, law_kind, n):
-    """The numpy cumulative trapezoid is scipy's, bit for bit."""
-    law = make_limit_law(law_kind, params, coin, n=n)
-    xs, cdf = _cdf_table(law)
-    theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, xs.size)
-    ref = cumulative_trapezoid(law.substituted_density(theta), theta, initial=0.0)
-    assert np.array_equal(cdf, ref)
-
-
-def test_cdf_table_cache_is_bounded():
-    assert _cdf_table.cache_info().maxsize is not None
-

@@ -22,6 +22,7 @@ from conftest import (
     closed_form_cdf,
     extremal_momentum,
     phase_rotation,
+    subpanel_cdf,
 )
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import roots_legendre
@@ -56,6 +57,13 @@ SPECIAL_POINTS = (
     (0, WalkParams(SQ2, math.pi / 2)),
     (1, WalkParams(SQ2, 3 * math.pi / 2)),
 )
+
+
+def _in_edge_angle(law, theta):
+    """Density in the edge angle, ``density(h* sin(theta)) * h* cos(theta)``:
+    the law's edge form there, the integrand of its cdf and moments."""
+    hi = law.support_hi
+    return law._edge_form(hi * np.sin(theta), hi * np.cos(theta))
 
 
 # ---------------------------------------------------------------- scalars
@@ -394,13 +402,68 @@ def test_cdf_array_matches_scalar_calls(params, coin, variant, kind, n):
     np.testing.assert_array_equal(grid.ravel(), vals)
 
 
+GRID_AND_SPECIAL_LAWS = [
+    (kind, params, coin, n) for params, coin, _, kind, n in REGRESSION_GRID
+] + [("theorem1", PARAMS_SPECIAL, COIN_GEN, 0)]
+
+
+@pytest.mark.parametrize("kind, params, coin, n", GRID_AND_SPECIAL_LAWS)
+def test_cdf_matches_subpanel_reference(kind, params, coin, n):
+    """The panel antiderivative of the cached nodes equals the CDF that
+    integrates every sub-panel between queries afresh, to 1e-13."""
+    law = make_limit_law(kind, params, coin, n=n)
+    hi = law.support_hi
+    edge = hi * (1.0 - np.geomspace(1e-16, 1e-2, 15))
+    xs = np.concatenate((np.linspace(-1.05 * hi, 1.05 * hi, 2001), edge, -edge))
+    assert np.max(np.abs(law.cdf(xs) - subpanel_cdf(law, xs))) <= 1e-13
+
+
+@pytest.mark.parametrize("kind, params, coin, n", GRID_AND_SPECIAL_LAWS)
+def test_cdf_table_is_the_cdf_at_its_nodes(kind, params, coin, n):
+    """The Kolmogorov table holds ``cdf`` at its 8193 nodes to 1e-13, plus
+    what rounding each node ``h* sin(theta)`` to a float moves the CDF by
+    (up to 2.4e-13 at the nodes next to the edges, where the density is
+    large)."""
+    law = make_limit_law(kind, params, coin, n=n)
+    xs, table = law._cdf_table
+    assert xs.size == table.size == 8193
+    rounding = law.density(xs) * np.spacing(np.abs(xs))
+    assert np.all(np.abs(table - law.cdf(xs)) <= 1e-13 + rounding)
+
+
+def _extremal_coin(kind, params):
+    """The coin that maximises ``coeff``: its Bloch vector is the unit
+    vector along the gradient of ``coeff``, which is affine in it."""
+    if kind == "theorem1":
+        q = params.rho0 / params.rho
+        grad = (-q * math.cos(params.nu), q * math.sin(params.nu), 1.0)
+    else:
+        q = params.rho / params.rho0
+        grad = (-q * math.cos(params.nu), -q * math.sin(params.nu), 1.0)
+    bx, by, bz = np.array(grad) / np.linalg.norm(grad)
+    half = 0.5 * math.acos(bz)
+    phase = cmath.exp(-1j * math.atan2(by, bx))
+    return CoinSpinor(math.cos(half), math.sin(half) * phase)
+
+
 @pytest.mark.parametrize(
-    "kind, params, coin, n",
-    [(kind, params, coin, n) for params, coin, _, kind, n in REGRESSION_GRID]
-    + [("theorem1", PARAMS_SPECIAL, COIN_GEN, 0)],
+    "kind, params",
+    [("theorem1", WalkParams(0.3, 2.0)), ("cmv_only", WalkParams(0.3, 0.7))],
 )
+def test_cdf_is_monotone_when_the_density_vanishes_at_an_edge(kind, params):
+    """With ``|coeff| h*`` at 0.99 (theorem1) and 1 (cmv_only) the density
+    falls to or near zero at one edge, where the interpolant's shares
+    could turn the CDF down; on 20001 points it never does."""
+    law = make_limit_law(kind, params, _extremal_coin(kind, params))
+    assert abs(law.coeff) * law.support_hi >= 0.99
+    vals = law.cdf(np.linspace(-law.support_hi, law.support_hi, 20001))
+    assert np.all(np.diff(vals) >= 0.0)
+
+
+@pytest.mark.parametrize("kind, params, coin, n", GRID_AND_SPECIAL_LAWS)
 def test_substituted_density_edges_and_interior(kind, params, coin, n):
-    """Finite edge limits ``(1 +- c h)/(pi sqrt(1 - h^2))``; density inside.
+    """The density in the edge angle has finite edge limits ``(1 +- c h)/(pi
+    sqrt(1 - h^2))`` and is the density times the chord inside.
 
     The theorem1 law at the special set is included: there the density's
     own form is 0/0 at the edges.
@@ -409,23 +472,19 @@ def test_substituted_density_edges_and_interior(kind, params, coin, n):
     hi = law.support_hi
     for sign in (1, -1):
         expected = (1.0 + sign * law.coeff * hi) / (math.pi * math.sqrt(1.0 - hi * hi))
-        edge = law.substituted_density(sign * 0.5 * math.pi)
-        assert edge == pytest.approx(expected, rel=1e-12)
+        edge = _in_edge_angle(law, sign * 0.5 * math.pi)
+        assert float(edge) == pytest.approx(expected, rel=1e-12)
     theta = np.linspace(-1.5, 1.5, 301)
     np.testing.assert_allclose(
-        law.substituted_density(theta),
+        _in_edge_angle(law, theta),
         law.density(hi * np.sin(theta)) * hi * np.cos(theta),
         rtol=1e-11,
     )
 
 
-@pytest.mark.parametrize(
-    "kind, params, coin, n",
-    [(kind, params, coin, n) for params, coin, _, kind, n in REGRESSION_GRID]
-    + [("theorem1", PARAMS_SPECIAL, COIN_GEN, 0)],
-)
+@pytest.mark.parametrize("kind, params, coin, n", GRID_AND_SPECIAL_LAWS)
 def test_density_keeps_its_digits_next_to_the_edges(kind, params, coin, n):
-    """``density(x) * sqrt(h^2 - x^2)`` is the substituted density at
+    """``density(x) * sqrt(h^2 - x^2)`` is the density in the edge angle at
     ``asin(x/h)`` to 1e-13 at relative distances 1e-8 to 1e-12 from
     either edge: the density cancels the vanishing edge factor just as
     the CDF's integrand does.
@@ -437,7 +496,7 @@ def test_density_keeps_its_digits_next_to_the_edges(kind, params, coin, n):
     chord = np.sqrt((hi - np.abs(xs)) * (hi + np.abs(xs)))
     np.testing.assert_allclose(
         law.density(xs) * chord,
-        law.substituted_density(np.arcsin(xs / hi)),
+        _in_edge_angle(law, np.arcsin(xs / hi)),
         rtol=1e-13,
         atol=0.0,
     )
@@ -478,8 +537,8 @@ def _law_queries(law):
     return [
         law.density(x),
         law.density(0.3 * hi),
-        law.substituted_density(theta),
-        law.substituted_density(0.5 * math.pi),
+        _in_edge_angle(law, theta),
+        _in_edge_angle(law, 0.5 * math.pi),
         law.cdf(np.linspace(-hi, hi, 200)),
         law.cdf(-0.7 * hi),
     ] + [law.moment(r) for r in range(3)]
@@ -494,14 +553,14 @@ def _law_queries(law):
     ],
 )
 def test_in_place_edge_form_changes_no_bit(kind, params, coin, n, monkeypatch):
-    """density, substituted_density, cdf and moment(0..2) equal what the
+    """density, the edge form in the angle, cdf and moment(0..2) equal what the
     array-per-step edge form gives, bit for bit; moment(3..6), raised by
     repeated multiplication, are within 1e-15 of ``xs**r``."""
     law = make_limit_law(kind, params, coin, n=n)
     got = _law_queries(law)
-    xs, weighted = law._weighted_nodes
+    xs, weighted, _ = law._weighted_nodes
     for r in range(3, 7):
-        assert abs(law.moment(r) - float(np.dot(xs**r, weighted))) <= 1e-15
+        assert abs(law.moment(r) - float(np.vdot(xs**r, weighted))) <= 1e-15
     monkeypatch.setattr(LimitLaw, "_edge_form", _array_per_step_edge_form)
     want = _law_queries(make_limit_law(kind, params, coin, n=n))
     for a, b in zip(got, want):
@@ -511,10 +570,11 @@ def test_in_place_edge_form_changes_no_bit(kind, params, coin, n, monkeypatch):
 def test_cdf_allocation_peak():
     """``cdf`` on 1e4 points of a theorem1 law allocates at most 12 MB.
 
-    About 1e4 sub-panels of 16 nodes each; the peak holds eight arrays
-    over them (nodes, weights, sine, chord and the ratio's four work
-    arrays), 10.95 MB measured, bounded here with a 10% margin.  The
-    array-per-step edge form peaked at 18.5 MB.
+    The integrand is not evaluated per query; the peak holds each
+    point's 17 Legendre values, their 15 differences, its 16 shares and
+    16 gathered node values, 4.39 MB measured.  Splitting the panels at
+    the queries and integrating each sub-panel afresh peaked at
+    10.95 MB, with the array-per-step edge form at 18.5 MB.
     """
     law = make_limit_law("theorem1", WalkParams(0.6, 0.7), COIN_GEN)
     x = np.linspace(-law.support_hi, law.support_hi, 10_000)

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk import CoinSpinor, WalkParams, evolve, evolve_fourier, make_limit_law
-from qwalk.harness import _cdf_table
 
 PROPERTY_SETTINGS = settings(
     max_examples=50, deadline=None, derandomize=True, database=None
@@ -70,7 +69,7 @@ def test_cdf_is_monotone_from_zero_to_one(law):
 @given(limit_laws())
 def test_unit_mass_in_moments_and_table(law):
     assert abs(law.moment(0) - 1.0) <= 1e-9
-    assert abs(_cdf_table(law)[1][-1] - 1.0) <= 1e-9
+    assert abs(law._cdf_table[1][-1] - 1.0) <= 1e-9
 
 
 _SPECIAL_SET = tuple(WalkParams(SQ2, nu) for nu in (0.5 * math.pi, -0.5 * math.pi))
