@@ -6,9 +6,19 @@ amplitudes), ``density`` (limit density on a grid), ``compare``
 half-width over a parameter grid).  ``simulate`` and ``compare`` evolve
 the walk with the exact momentum-space engine
 :func:`~qwalk.fourier.evolve_fourier` (O(t log t), ``t`` at most
-:data:`~qwalk.fourier.MAX_STEPS`).  Output is CSV or JSON; floats are
-written with 17 significant digits so files round-trip doubles
-losslessly, and identical invocations produce byte-identical files.
+:data:`~qwalk.fourier.MAX_STEPS`).  Output is CSV or JSON.  CSV writes
+each float as ``'%.17g'`` (17 significant digits), JSON as ``repr``
+(the fewest digits that read back as the same double), so both
+round-trip doubles losslessly, and identical invocations produce
+byte-identical files.
+
+The rows are rendered by :func:`qwalk.render.render_rows` without a
+Python call per value: numpy array arithmetic forms each float's digits
+from a power-of-ten table held to about 2**-104, and Python's own ``%``
+or ``repr`` writes only the elements that arithmetic cannot decide
+(within 2**-38 of a rounding tie or an interval edge, subnormal,
+non-finite, or in JSON a power of two), so every file is byte for byte
+what per-value formatting writes.
 
 Angles accept raw radians or exact tokens like ``pi/2``, ``-pi/4``,
 ``3pi/4``, also as a separate argument (``--nu -pi/4``).  Complex coin
@@ -34,6 +44,7 @@ import numpy as np
 from .fourier import MAX_STEPS, evolve_fourier
 from .harness import ComparisonReport, run_comparison
 from .limitlaw import LAW_KINDS, make_limit_law, support_halfwidth
+from .render import render_rows
 from .walk import VARIANTS, CoinSpinor, WalkParams, distribution
 
 __all__ = [
@@ -48,6 +59,8 @@ SCHEMA_VERSION = 1
 
 _DENSITY_GRID_POINTS = 2001
 _DENSITY_GRID_PAD = 1.05
+# Characters encoded and written at a time.
+_WRITE_SLICE = 1 << 20
 
 _ANGLE_PATTERN = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
@@ -78,16 +91,6 @@ def parse_complex(text: str) -> complex:
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _format_rows(template: str, columns) -> list[str]:
-    """One ``template % row`` per row of the parallel ``columns``.
-
-    Each column goes through ``tolist()``, so the template formats
-    Python ints and floats: ``%.17g`` writes what :func:`_fmt` does
-    and ``%r`` what :func:`json.dumps` does for a finite float.
-    """
-    return [template % row for row in zip(*(c.tolist() for c in columns))]
 
 
 @dataclass(frozen=True)
@@ -208,11 +211,25 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _csv_text(header: str, rows: list[str], meta: list[str] | None = None) -> str:
+def _csv_text(columns: dict[str, np.ndarray], meta: list[str] | None = None) -> str:
+    """``# key,value`` metadata lines, the header, then one line per entry
+    of the parallel ``columns``, floats as ``%.17g``."""
     lines = [f"# {key_value}" for key_value in meta] if meta else []
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+    lines.append(",".join(columns))
+    pieces = ["", *[","] * (len(columns) - 1), "\n"]
+    rows = render_rows(pieces, list(columns.values()), shortest=False)
+    return _joined("\n".join(lines) + "\n", rows, "")
+
+
+def _joined(head: str, blocks: list[np.ndarray], tail: str) -> str:
+    """``head``, the ASCII blocks and ``tail`` as one string; each block is
+    released once decoded."""
+    blocks.reverse()
+    parts = [head]
+    while blocks:
+        parts.append(str(blocks.pop(), "ascii"))
+    parts.append(tail)
+    return "".join(parts)
 
 
 def cmd_simulate(cfg: RunConfig) -> str:
@@ -233,8 +250,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
     }
     if cfg.format == "json":
         return _json_text({"command": "simulate"}, columns)
-    rows = _format_rows("%d" + ",%.17g" * 5, columns.values())
-    return _csv_text(",".join(columns), rows)
+    return _csv_text(columns)
 
 
 def cmd_density(cfg: RunConfig) -> str:
@@ -248,8 +264,7 @@ def cmd_density(cfg: RunConfig) -> str:
     columns = {"x": xs, "density": law.density(xs)}
     if cfg.format == "json":
         return _json_text({"command": "density"}, columns)
-    rows = _format_rows("%.17g,%.17g", columns.values())
-    return _csv_text(",".join(columns), rows)
+    return _csv_text(columns)
 
 
 def report_to_dict(report: ComparisonReport) -> dict:
@@ -329,8 +344,7 @@ def cmd_compare(cfg: RunConfig) -> str:
     meta.extend(
         f"moment_error_r{r},{_fmt(e)}" for r, e in report.moment_errors
     )
-    rows = _format_rows("%d,%.17g,%.17g", columns.values())
-    return _csv_text(",".join(columns), rows, meta=meta)
+    return _csv_text(columns, meta=meta)
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
@@ -350,8 +364,7 @@ def cmd_sweep(cfg: RunConfig) -> str:
     )
     if cfg.format == "json":
         return _json_text({"command": "sweep"}, columns)
-    rows = _format_rows("%.17g,%.17g,%.17g", columns.values())
-    return _csv_text(",".join(columns), rows)
+    return _csv_text(columns)
 
 
 def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> str:
@@ -359,19 +372,25 @@ def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> str:
     per entry of the parallel ``columns``, as ``json.dumps(..., indent=2)``
     writes it.
 
-    The rows are formatted directly and spliced after the header, which
-    is much faster for long tables; an empty table or a non-finite value
-    (which json writes as ``NaN``/``Infinity``) goes through json.dumps.
+    The rows are rendered directly, values as ``repr`` writes them, and
+    spliced after the header, which is much faster for long tables; an
+    empty table or a non-finite value (which json writes as
+    ``NaN``/``Infinity``) goes through json.dumps.
     """
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
     arrays = list(columns.values())
     if len(arrays[0]) and all(np.isfinite(a).all() for a in arrays):
-        fields = ",\n".join(f"      {json.dumps(name)}: %r" for name in columns)
-        item = "    {\n" + fields + "\n    }"
-        rows = ",\n".join(_format_rows(item, arrays))
+        # Each row starts with the comma that separates it from the one
+        # before; the first row's is dropped.
+        names = [json.dumps(name) for name in columns]
+        pieces = [f",\n    {{\n      {names[0]}: "]
+        pieces += [f",\n      {name}: " for name in names[1:]]
+        pieces.append("\n    }")
+        rows = render_rows(pieces, arrays, shortest=True)
+        rows[0] = rows[0][1:]
         head = json.dumps(body, indent=2)[: -len("\n}")]
-        return f'{head},\n  "rows": [\n{rows}\n  ]\n}}\n'
+        return _joined(f'{head},\n  "rows": [', rows, "\n  ]\n}\n")
     body["rows"] = _row_dicts(columns)
     return json.dumps(body, indent=2) + "\n"
 
@@ -490,7 +509,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg.output.write_text(text)
+        # In slices: encoding the whole text at once would copy all of it.
+        with cfg.output.open("w") as out:
+            for start in range(0, len(text), _WRITE_SLICE):
+                out.write(text[start : start + _WRITE_SLICE])
     except OSError as exc:
         print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
         return 1

@@ -307,7 +307,8 @@ class LimitLaw:
         return vals
 
     def density(self, x):
-        """Density value(s) at ``x``; zero outside the open support.
+        """Density value(s) at ``x``; zero outside the open support, NaN
+        at NaN.
 
         The edge form over the chord ``sqrt((h* - |x|)(h* + |x|))``, a
         product of two accurate factors.
@@ -320,6 +321,7 @@ class LimitLaw:
         xs = np.where(inside, x_arr, 0.0)
         chord = np.sqrt((hi - np.abs(xs)) * (hi + np.abs(xs)))
         out = np.where(inside, self._edge_form(xs, chord) / chord, 0.0)
+        out[np.isnan(x_arr)] = np.nan
         return _like_input(x, out)
 
     @cached_property
@@ -345,20 +347,23 @@ class LimitLaw:
 
         The CDF at the left edge of the panel of ``asin(x/h*)`` plus each
         node's weighted value times its share left of it (the interpolant's
-        antiderivative, :func:`_left_shares`); 0 for ``x <= -h*``.
+        antiderivative, :func:`_left_shares`); 0 for ``x <= -h*``, NaN at
+        NaN.
         """
         hi = self.support_hi
         x_arr = np.asarray(x, dtype=float)
         flat = x_arr.ravel()
         # theta + pi/2 for theta = asin(x/h*), in panel widths; the angle to
         # the nearer edge in half-angle form: rounding x/h* next to +-1
-        # would move it by ~1e-8, this keeps it to ~1e-16.
-        rim = 2.0 * np.arcsin(np.sqrt(np.maximum(hi - np.abs(flat), 0.0) / hi / 2.0))
+        # would move it by ~1e-8, this keeps it to ~1e-16.  fmax takes a
+        # NaN point to the right edge, so its panel index stays an integer.
+        rim = 2.0 * np.arcsin(np.sqrt(np.fmax(hi - np.abs(flat), 0.0) / hi / 2.0))
         u = np.where(flat < 0.0, rim, np.pi - rim) * (_PANELS / np.pi)
         panel = np.minimum(u.astype(np.intp), _PANELS - 1)
         shares = _left_shares(np.minimum(2.0 * (u - panel) - 1.0, 1.0))
         _, weighted, cum = self._weighted_nodes
         vals = cum[panel] + np.einsum("ij,ij->i", shares, weighted[panel])
+        vals[np.isnan(flat)] = np.nan
         return _like_input(x, vals.reshape(x_arr.shape))
 
     def moment(self, r: int) -> float:

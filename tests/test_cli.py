@@ -552,6 +552,20 @@ def test_density_and_sweep_rendering_is_byte_identical(tmp_path, fmt):
         assert text == _old_csv("rho,nu,h_star", rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_files_do_not_depend_on_the_row_block(tmp_path, monkeypatch, fmt):
+    """Rows rendered seven at a time give the same files as one block."""
+    commands = [
+        ["simulate", "--rho", "0.85", "--nu", "-1.3", *BAL_FLAGS, "--t", 45],
+        ["compare", "--rho", "0.85", "--nu", "-1.3", *BAL_FLAGS, "--t", 52],
+        ["density", "--rho", "0.85", "--nu", "-1.3", *BAL_FLAGS],
+        ["sweep", "--grid", "0.2,0.8,5,-pi/2,pi,7"],
+    ]
+    whole = [_cli_text(tmp_path, fmt, *argv) for argv in commands]
+    monkeypatch.setattr("qwalk.render._ROW_BLOCK", 7)
+    assert [_cli_text(tmp_path, fmt, *argv) for argv in commands] == whole
+
+
 @pytest.mark.parametrize(
     "columns",
     [

@@ -408,6 +408,22 @@ GRID_AND_SPECIAL_LAWS = [
 
 
 @pytest.mark.parametrize("kind, params, coin, n", GRID_AND_SPECIAL_LAWS)
+def test_cdf_and_density_are_nan_at_nan(kind, params, coin, n):
+    """NaN points give NaN, without a warning, and move no other point's bits."""
+    law = make_limit_law(kind, params, coin, n=n)
+    hi = law.support_hi
+    xs = np.array([-2.0, -hi, -0.3 * hi, 0.0, 0.7 * hi, hi, 2.0, -np.inf, np.inf])
+    with_nan = np.insert(xs, [0, 3, 9], np.nan)
+    nan = np.isnan(with_nan)
+    for method in (law.cdf, law.density):
+        vals = method(with_nan)
+        assert np.all(np.isnan(vals[nan]))
+        np.testing.assert_array_equal(vals[~nan], method(xs))
+        assert math.isnan(method(math.nan))
+        assert isinstance(method(math.nan), float)
+
+
+@pytest.mark.parametrize("kind, params, coin, n", GRID_AND_SPECIAL_LAWS)
 def test_cdf_matches_subpanel_reference(kind, params, coin, n):
     """The panel antiderivative of the cached nodes equals the CDF that
     integrates every sub-panel between queries afresh, to 1e-13."""
