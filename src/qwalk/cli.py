@@ -10,15 +10,18 @@ the walk with the exact momentum-space engine
 each float as ``'%.17g'`` (17 significant digits), JSON as ``repr``
 (the fewest digits that read back as the same double), so both
 round-trip doubles losslessly, and identical invocations produce
-byte-identical files.
+byte-identical files.  Non-finite values are ``nan``/``inf``/``-inf``
+in CSV and ``NaN``/``Infinity``/``-Infinity`` (as ``json.dumps``) in JSON.
 
 The rows are rendered by :func:`qwalk.render.render_rows` without a
 Python call per value: numpy array arithmetic forms each float's digits
 from a power-of-ten table held to about 2**-104, and Python's own ``%``
-or ``repr`` writes only the elements that arithmetic cannot decide
+or ``json.dumps`` writes only the elements that arithmetic cannot decide
 (within 2**-38 of a rounding tie or an interval edge, subnormal,
 non-finite, or in JSON a power of two), so every file is byte for byte
-what per-value formatting writes.
+what per-value formatting writes.  A command computes its result before
+the file is opened, so refused input leaves no file; the file is then
+written one rendered block at a time, never whole in memory.
 
 Angles accept raw radians or exact tokens like ``pi/2``, ``-pi/4``,
 ``3pi/4``, also as a separate argument (``--nu -pi/4``).  Complex coin
@@ -36,6 +39,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,8 +63,6 @@ SCHEMA_VERSION = 1
 
 _DENSITY_GRID_POINTS = 2001
 _DENSITY_GRID_PAD = 1.05
-# Characters encoded and written at a time.
-_WRITE_SLICE = 1 << 20
 
 _ANGLE_PATTERN = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
@@ -211,28 +213,21 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _csv_text(columns: dict[str, np.ndarray], meta: list[str] | None = None) -> str:
+# A file's ASCII text, as bytes and uint8 arrays in order.
+Chunks = Iterator[bytes | np.ndarray]
+
+
+def _csv_text(columns: dict[str, np.ndarray], meta: list[str] | None = None) -> Chunks:
     """``# key,value`` metadata lines, the header, then one line per entry
     of the parallel ``columns``, floats as ``%.17g``."""
     lines = [f"# {key_value}" for key_value in meta] if meta else []
     lines.append(",".join(columns))
+    yield ("\n".join(lines) + "\n").encode()
     pieces = ["", *[","] * (len(columns) - 1), "\n"]
-    rows = render_rows(pieces, list(columns.values()), shortest=False)
-    return _joined("\n".join(lines) + "\n", rows, "")
+    yield from render_rows(pieces, list(columns.values()), shortest=False)
 
 
-def _joined(head: str, blocks: list[np.ndarray], tail: str) -> str:
-    """``head``, the ASCII blocks and ``tail`` as one string; each block is
-    released once decoded."""
-    blocks.reverse()
-    parts = [head]
-    while blocks:
-        parts.append(str(blocks.pop(), "ascii"))
-    parts.append(tail)
-    return "".join(parts)
-
-
-def cmd_simulate(cfg: RunConfig) -> str:
+def cmd_simulate(cfg: RunConfig) -> Chunks:
     """Exact distribution and amplitudes after t steps, one row per site.
 
     Evolved by :func:`~qwalk.fourier.evolve_fourier`; the rows cover
@@ -253,7 +248,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
     return _csv_text(columns)
 
 
-def cmd_density(cfg: RunConfig) -> str:
+def cmd_density(cfg: RunConfig) -> Chunks:
     """Limit density on a 2001-point grid padded 5% beyond the support."""
     law = make_limit_law(cfg.law, cfg.params, cfg.coin, n=cfg.n)
     xs = np.linspace(
@@ -270,7 +265,9 @@ def cmd_density(cfg: RunConfig) -> str:
 def report_to_dict(report: ComparisonReport) -> dict:
     """JSON-ready dictionary of a comparison report."""
     body = _report_header(report)
-    body["rows"] = _row_dicts(_report_columns(report))
+    columns = _report_columns(report)
+    rows = zip(*(c.tolist() for c in columns.values()))
+    body["rows"] = [dict(zip(columns, row)) for row in rows]
     return body
 
 
@@ -319,7 +316,7 @@ def report_from_dict(data: dict) -> ComparisonReport:
     )
 
 
-def cmd_compare(cfg: RunConfig) -> str:
+def cmd_compare(cfg: RunConfig) -> Chunks:
     """Comparison report: metadata block plus per-site rows."""
     report = run_comparison(
         cfg.params,
@@ -347,7 +344,7 @@ def cmd_compare(cfg: RunConfig) -> str:
     return _csv_text(columns, meta=meta)
 
 
-def cmd_sweep(cfg: RunConfig) -> str:
+def cmd_sweep(cfg: RunConfig) -> Chunks:
     """Support half-width over the (rho, nu) grid, rho-major row order."""
     rho_min, rho_max, rho_steps, nu_min, nu_max, nu_steps = cfg.grid
     rhos, nus = np.meshgrid(
@@ -367,39 +364,27 @@ def cmd_sweep(cfg: RunConfig) -> str:
     return _csv_text(columns)
 
 
-def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> str:
+def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> Chunks:
     """``payload`` plus a ``"rows"`` list of ``{name: value}`` objects, one
     per entry of the parallel ``columns``, as ``json.dumps(..., indent=2)``
-    writes it.
-
-    The rows are rendered directly, values as ``repr`` writes them, and
-    spliced after the header, which is much faster for long tables; an
-    empty table or a non-finite value (which json writes as
-    ``NaN``/``Infinity``) goes through json.dumps.
-    """
-    body = {"schema_version": SCHEMA_VERSION}
-    body.update(payload)
-    arrays = list(columns.values())
-    if len(arrays[0]) and all(np.isfinite(a).all() for a in arrays):
-        # Each row starts with the comma that separates it from the one
-        # before; the first row's is dropped.
-        names = [json.dumps(name) for name in columns]
-        pieces = [f",\n    {{\n      {names[0]}: "]
-        pieces += [f",\n      {name}: " for name in names[1:]]
-        pieces.append("\n    }")
-        rows = render_rows(pieces, arrays, shortest=True)
-        rows[0] = rows[0][1:]
-        head = json.dumps(body, indent=2)[: -len("\n}")]
-        return _joined(f'{head},\n  "rows": [', rows, "\n  ]\n}\n")
-    body["rows"] = _row_dicts(columns)
-    return json.dumps(body, indent=2) + "\n"
-
-
-def _row_dicts(columns: dict[str, np.ndarray]) -> list[dict]:
-    return [
-        dict(zip(columns, row))
-        for row in zip(*(c.tolist() for c in columns.values()))
-    ]
+    writes it."""
+    body = {"schema_version": SCHEMA_VERSION, **payload}
+    head = json.dumps(body, indent=2)[: -len("\n}")]
+    # Each row starts with the comma that separates it from the one
+    # before; the first row's is dropped.
+    names = [json.dumps(name) for name in columns]
+    pieces = [f",\n    {{\n      {names[0]}: "]
+    pieces += [f",\n      {name}: " for name in names[1:]]
+    pieces.append("\n    }")
+    blocks = render_rows(pieces, list(columns.values()), shortest=True)
+    first = next(blocks, None)
+    if first is None:
+        yield f'{head},\n  "rows": []\n}}\n'.encode()
+        return
+    yield f'{head},\n  "rows": ['.encode()
+    yield first[1:]
+    yield from blocks
+    yield b"\n  ]\n}\n"
 
 
 _COMMANDS = {
@@ -504,15 +489,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        text = _COMMANDS[cfg.command](cfg)
+        chunks = _COMMANDS[cfg.command](cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        # In slices: encoding the whole text at once would copy all of it.
-        with cfg.output.open("w") as out:
-            for start in range(0, len(text), _WRITE_SLICE):
-                out.write(text[start : start + _WRITE_SLICE])
+        with cfg.output.open("wb") as out:
+            out.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
         return 1

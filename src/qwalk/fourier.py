@@ -51,9 +51,10 @@ __all__ = [
 ]
 
 #: Largest step count evolve_fourier() accepts.  Its arrays grow with
-#: ``t`` and are built before any work starts: a full-walk process
-#: peaks near 150 MB RSS at t = 1e6 and 275 MB at t = 2e6, so a larger
-#: cap could exhaust memory where a lattice run would only have been slow.
+#: ``t`` and are built before any work starts: the engine peaks near 150
+#: MB RSS at t = 1e6 and 275 MB at t = 2e6 (``qwalk simulate`` near 175
+#: and 300 MB), so a larger cap could exhaust memory where a lattice run
+#: would only be slow.
 MAX_STEPS = 2_000_000
 
 # Below this squared half-gap the two eigenvalues are treated as

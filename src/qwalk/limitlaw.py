@@ -77,6 +77,9 @@ LAW_KINDS = tuple(kind for kinds in VARIANT_LAWS.values() for kind in kinds)
 # into 1e-8 density errors.
 _RADICAND_CLAMP = 1e-13
 _SPECIAL_PARAM_TOL = 1e-9
+# Smallest rho of a cmv_only law: its theta-rule loses mass below it
+# (worst over nu 9.4e-14 at 0.02, 1.5e-9 at 0.01, 0.99 at 1e-6).
+_CMV_ONLY_RHO_MIN = 0.02
 
 _PANELS = 64
 _PANEL_EDGES = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _PANELS + 1)
@@ -439,8 +442,8 @@ def make_limit_law(
     Raises
     ------
     ValueError
-        On unknown kind, or a standard law requested away from its
-        special parameter set.
+        On unknown kind, a standard law requested away from its special
+        parameter set, or a cmv_only law with ``rho`` below 0.02.
     """
     if kind not in LAW_KINDS:
         raise ValueError(f"unknown law kind {kind!r}")
@@ -462,6 +465,10 @@ def make_limit_law(
         support_hi = math.sqrt(0.5)
         coeff = base + (-1.0) ** (n % 2) * 2.0 * cross.imag
     else:
+        if params.rho < _CMV_ONLY_RHO_MIN:
+            raise ValueError(
+                f"cmv_only law requires rho >= {_CMV_ONLY_RHO_MIN}, got {params.rho!r}"
+            )
         support_hi = params.rho0
         coeff = base - (2.0 * params.rho / params.rho0) * (
             cross.real * math.cos(params.nu) + cross.imag * math.sin(params.nu)

@@ -4,8 +4,10 @@
 ``uint8`` slot matrix, literal text in fixed columns and each value in
 its own slot, NUL in unused slots, and drops the NULs in place.
 Integers are written as ``'%d'``; floats exactly as Python writes them,
-byte for byte: ``'%.17g' % v`` or, for ``shortest=True``, ``repr(v)``
-(the fewest digits that read back as ``v``).
+byte for byte: ``'%.17g' % v`` or, for ``shortest=True``,
+``json.dumps(v)``: ``repr(v)`` (the fewest digits that read back as
+``v``) if finite, else ``NaN``/``Infinity``/``-Infinity``.  The rows
+come a block at a time, each block made only when the last is used.
 
 Digits.  A finite nonzero normal ``|v| = m * 2**q`` (``m`` a 53-bit
 integer) is scaled to ``y = |v| * 10**(16 - k)`` in ``[1e16, 1e17)``,
@@ -22,13 +24,15 @@ approximate arithmetic plus detection of the cases it cannot decide.
 Fallback.  An element whose decision lies within 2**-38 of a rounding
 tie or an interval edge (exact ties among them), a subnormal, a
 non-finite value and, for ``repr``, a power of two (its interval is
-lopsided) is written by Python's own ``%`` or ``repr``, that element
-only.  Zeros are written by the kernel.
+lopsided) is written by Python's own ``%`` or ``json.dumps``, that
+element only.  Zeros are written by the kernel.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -288,7 +292,7 @@ def _write_floats(cell: np.ndarray, decomposed, shortest: bool) -> None:
     )
     for i in np.flatnonzero(python).tolist():
         value = float(v[i])
-        text = (repr(value) if shortest else "%.17g" % value).encode()
+        text = (json.dumps(value) if shortest else "%.17g" % value).encode()
         cell[i] = 0
         cell[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
 
@@ -320,16 +324,15 @@ def _write_ints(cell: np.ndarray, values: np.ndarray) -> None:
 
 def render_rows(
     pieces: list[str], columns: list[np.ndarray], shortest: bool
-) -> list[np.ndarray]:
-    """ASCII text of the rows ``pieces[0] + text(columns[0][i]) + pieces[1]
-    + ... + pieces[-1]``, as ``uint8`` arrays of at most ``_ROW_BLOCK``
-    rows each.
+) -> Iterator[np.ndarray]:
+    """Yield the ASCII text of the rows ``pieces[0] + text(columns[0][i])
+    + pieces[1] + ... + pieces[-1]`` as ``uint8`` arrays of at most
+    ``_ROW_BLOCK`` rows each, nothing for an empty table.
 
-    Integer columns are written as ``'%d'``, float columns as ``repr``
-    if ``shortest`` else as ``'%.17g'``.
+    Integer columns are written as ``'%d'``, float columns as
+    ``json.dumps`` if ``shortest`` else as ``'%.17g'``.
     """
     literals = [piece.encode() for piece in pieces]
-    blocks = []
     for start in range(0, len(columns[0]), _ROW_BLOCK):
         block = [c[start : start + _ROW_BLOCK] for c in columns]
         ints = [c.dtype.kind in "iu" for c in block]
@@ -362,5 +365,4 @@ def render_rows(
             kept = kept[kept != 0]
             flat[end : end + kept.size] = kept
             end += kept.size
-        blocks.append(flat[:end])
-    return blocks
+        yield flat[:end]

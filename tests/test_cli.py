@@ -579,7 +579,7 @@ def test_json_rows_with_non_finite_or_no_values_match_json_dumps(columns):
         {"x": x, "v": v} for x, v in zip(columns["x"].tolist(), columns["v"].tolist())
     ]
     expected = _old_json({"command": "t", "rows": rows})
-    assert _json_text({"command": "t"}, columns) == expected
+    assert b"".join(_json_text({"command": "t"}, columns)).decode() == expected
 
 
 # --------------------------------------------------- config file and exits
@@ -783,7 +783,39 @@ def test_standard_law_off_special_exits_2(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("compare", ["--variant", "cmv_only", "--t", 200]), ("density", [])]
+)
+def test_cmv_only_law_below_its_rho_floor_exits_2_without_output(
+    tmp_path, command, extra, capsys
+):
+    # The law keeps about 0.7% of its mass here: a file would report a
+    # KS distance of 0.993 that says nothing about the walk.
+    out = tmp_path / "never.csv"
+    rc = run_cli(
+        command, "--rho", "1e-6", "--nu", "0.3", "--law", "cmv_only", *extra,
+        "--out", out,
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert "rho >= 0.02" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- dependencies
+
+
+def _run_child(script: str, *args) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    src = str(Path(qwalk.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 def test_package_and_compare_load_no_scipy(tmp_path):
@@ -802,19 +834,36 @@ def test_package_and_compare_load_no_scipy(tmp_path):
             "    if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))",
         )
     )
-    env = dict(os.environ)
-    src = str(Path(qwalk.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _run_child(script, out)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert out.read_text().startswith("# schema_version,")
+
+
+def test_simulate_peak_memory_stays_below_its_file_size(tmp_path):
+    """Each file is written block by block as it is rendered, so its text
+    never exists whole in memory: ``simulate --t 200000 --format json``
+    writes 92 MB and raises the child's peak RSS, over its peak after
+    ``import qwalk.cli``, by about 49 MB."""
+    out = tmp_path / "deep.json"
+    script = "\n".join(
+        (
+            "import resource, sys",
+            "import qwalk.cli",
+            "def peak():  # ru_maxrss is in KiB on Linux",
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024",
+            "base = peak()",
+            "argv = ['simulate', '--rho=0.6', '--nu=0.7', '--t=200000',",
+            "        '--format=json', '--out=' + sys.argv[1]]",
+            "assert qwalk.cli.main(argv) == 0",
+            "print(peak() - base)",
+        )
+    )
+    proc = _run_child(script, out)
+    assert proc.returncode == 0, proc.stderr
+    size = out.stat().st_size
+    out.unlink()
+    assert int(proc.stdout) < size
 
 
 def test_readme_quick_start_runs(capsys):

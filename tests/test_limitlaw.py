@@ -660,6 +660,20 @@ def test_swap_free_law_second_moment_closed_form(rho):
     assert law.moment(2) == pytest.approx(1.0 - rho, abs=1e-8)
 
 
+@pytest.mark.parametrize("rho", [0.015, 1e-6, 1e-9])
+def test_swap_free_law_refuses_rho_below_its_floor(rho):
+    """Below rho = 0.02 the law's theta-rule loses mass (1.5e-9 at 0.01,
+    0.99 at 1e-6), so it is refused instead of scored."""
+    with pytest.raises(ValueError, match="rho >= 0.02"):
+        make_limit_law("cmv_only", WalkParams(rho, 0.3), COIN_GEN)
+
+
+def test_swap_free_law_keeps_unit_mass_at_its_rho_floor():
+    for nu in np.linspace(-3.0, 3.0, 61):
+        law = make_limit_law("cmv_only", WalkParams(0.02, nu), COIN_GEN)
+        assert abs(law.moment(0) - 1.0) <= 1e-13
+
+
 def test_density_periodic_in_nu():
     base = make_limit_law("theorem1", WalkParams(0.6, 1.0), COIN_GEN)
     shifted = make_limit_law(

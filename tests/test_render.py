@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qwalk.render import _decompose, render_rows
 
-FORMATS = [False, True]  # '%.17g' and repr
+FORMATS = [False, True]  # '%.17g' and json.dumps (repr when finite)
 
 
 def _texts(values, shortest: bool) -> list[str]:
@@ -23,7 +23,7 @@ def _texts(values, shortest: bool) -> list[str]:
 
 def _python(values, shortest: bool) -> list[str]:
     values = np.asarray(values, dtype=float).tolist()
-    return [repr(v) if shortest else "%.17g" % v for v in values]
+    return [json.dumps(v) if shortest else "%.17g" % v for v in values]
 
 
 def _fallbacks(values, shortest: bool) -> int:
