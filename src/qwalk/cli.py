@@ -26,7 +26,7 @@ written one rendered block at a time, never whole in memory.
 Angles accept raw radians or exact tokens like ``pi/2``, ``-pi/4``,
 ``3pi/4``, also as a separate argument (``--nu -pi/4``).  Complex coin
 amplitudes are written ``re,im``.  A flat ``key=value`` config file can
-supply any flag; explicit flags win.
+supply any flag; explicit flags win; a key that no command takes is refused.
 
 Exit codes: 0 success, 2 invalid parameters, 1 I/O failure.
 """
@@ -126,11 +126,15 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _merged_options(args: argparse.Namespace) -> dict[str, str]:
+    keys = ("rho", "nu", "alpha", "beta", "t", "variant", "law", "n", "grid",
+            "out", "format")
     merged: dict[str, str] = {}
     if args.config:
         merged.update(_read_config_file(args.config))
-    for key in ("rho", "nu", "alpha", "beta", "t", "variant", "law", "n",
-                "grid", "out", "format"):
+    for key in merged:
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}")
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value

@@ -102,6 +102,13 @@ class EigenSystem:
     normalizers: np.ndarray
 
 
+def _symbol_entries(ek, params: WalkParams):
+    """``c`` and ``d`` of :func:`shifted_symbol` from ``ek = exp(-1j*k)``."""
+    eiv = cmath.exp(1j * params.nu)
+    c = params.rho * params.rho0 * (eiv + ek)
+    return c, -params.rho**2 * eiv + params.rho0**2 * ek
+
+
 def shifted_symbol(k, params: WalkParams) -> np.ndarray:
     """Shifted momentum symbol of the full walk.
 
@@ -111,10 +118,7 @@ def shifted_symbol(k, params: WalkParams) -> np.ndarray:
     array; an array of shape ``shape`` yields ``shape + (2, 2)``.
     """
     ek = np.exp(-1j * np.asarray(k, dtype=float))
-    rr0 = params.rho * params.rho0
-    eiv = cmath.exp(1j * params.nu)
-    c = rr0 * (eiv + ek)
-    d = -params.rho**2 * eiv + params.rho0**2 * ek
+    c, d = _symbol_entries(ek, params)
     out = np.empty(np.shape(ek) + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = -c
     out[..., 0, 1] = d
@@ -127,18 +131,15 @@ def _one_plus_minus(sin_y, cos_y):
     """``(1 + sin y, 1 - sin y)``, each to full relative accuracy.
 
     The factor that may be small is formed as ``cos(y)**2`` over the
-    other, which is at least 1, instead of by cancellation.  An array
-    ``sin_y`` gets two new arrays, built in place.
+    other, which is at least 1, instead of by cancellation.  Two new
+    arrays of ``sin_y``'s shape, 0-d for a scalar, built in place.
     """
-    if np.ndim(sin_y) == 0:
-        big = 1.0 + abs(sin_y)
-        small = cos_y * cos_y / big
-        return (big, small) if sin_y >= 0.0 else (small, big)
-    big = np.abs(sin_y)
+    big = np.abs(sin_y, out=np.empty(np.shape(sin_y)))
     big += 1.0
-    small = np.multiply(cos_y, cos_y)
+    small = np.multiply(cos_y, cos_y, out=np.empty(np.shape(sin_y)))
     small /= big
-    up = sin_y >= 0.0
+    # A ufunc, not ``>=``: on a float that gives a bool, and ~True is -2.
+    up = np.greater_equal(sin_y, 0.0)
     minus = np.where(up, small, big)
     np.copyto(big, small, where=~up)
     return big, minus
@@ -151,18 +152,13 @@ def _gap_parts(cos_k, sin_k, params: WalkParams):
     ``gap_sq = (1 + s)(1 - s)`` are sums of nonnegative terms
     ``(rho - rho0)**2 + rho*rho0*((1 +/- sin k) + (1 -/+ sin nu))``, so
     ``gap_sq`` keeps its relative accuracy where the two eigenvalues
-    nearly collide.
+    nearly collide.  Both are new arrays, 0-d for a scalar ``sin_k``.
     """
     rr0 = params.rho * params.rho0
     nu_plus, nu_minus = _one_plus_minus(math.sin(params.nu), math.cos(params.nu))
     base = (params.rho - params.rho0) ** 2
     k_plus, k_minus = _one_plus_minus(sin_k, cos_k)
-    if np.ndim(sin_k) == 0:
-        s = rr0 * (sin_k - math.sin(params.nu))
-        one_plus = base + rr0 * (k_plus + nu_minus)
-        one_minus = base + rr0 * (k_minus + nu_plus)
-        return s, one_plus * one_minus
-    s = np.subtract(sin_k, math.sin(params.nu))
+    s = np.subtract(sin_k, math.sin(params.nu), out=np.empty(np.shape(sin_k)))
     s *= rr0
     for part, nu_part in ((k_plus, nu_minus), (k_minus, nu_plus)):
         part += nu_part
@@ -172,39 +168,13 @@ def _gap_parts(cos_k, sin_k, params: WalkParams):
     return s, k_plus
 
 
-def _kernel_rows(d, re_c, root, gap_sq):
-    """Unnormalised eigenvectors of the shifted symbol, ``+`` branch first.
-
-    Returns ``(rows, normalizers)`` for scalar or array inputs alike:
-    ``rows`` yields the component pair of each branch's eigenvector, one
-    branch at a time, and ``normalizers`` holds ``2*(gap_sq +/- re_c*root)``,
-    the squared norms of the kernel rows ``(d, re_c +/- root)``.  Where a
-    branch's own row is the shorter one, it takes the complementary row
-    ``(-(re_c -/+ root), conj(d))`` instead, so both eigenvectors have
-    squared norm ``max(normalizers)``, nonzero whenever ``gap_sq`` is.
-    """
-    cross = re_c * root
-    normalizers = (2.0 * (gap_sq + cross), 2.0 * (gap_sq - cross))
-
-    def rows():
-        # One branch at a time, so a caller that consumes them in turn
-        # never holds all four components of the momentum grid at once.
-        for j, sgn in enumerate((1.0, -1.0)):
-            own = normalizers[j] >= normalizers[1 - j]
-            yield (
-                np.where(own, d, -(re_c - sgn * root)),
-                np.where(own, re_c + sgn * root, np.conj(d)),
-            )
-
-    return rows(), normalizers
-
-
 def eigensystem(k: float, params: WalkParams) -> EigenSystem:
     """Analytic spectral decomposition of the shifted symbol at ``k``.
 
-    Both eigenvectors come from closed-form kernel rows, not a generic
-    eigensolver (:func:`_kernel_rows`), so they stay stable at the
-    isolated momenta where one closed-form normalizer vanishes.
+    Both eigenvectors are closed-form kernel rows, not a generic
+    eigensolver's: ``(d, Re c +/- root)`` (:func:`shifted_symbol`), or
+    where that is the shorter, ``(-(Re c -/+ root), conj(d))``.  Both then
+    have squared norm ``max(normalizers)``, nonzero whenever ``gap_sq`` is.
 
     Raises
     ------
@@ -222,13 +192,16 @@ def eigensystem(k: float, params: WalkParams) -> EigenSystem:
         )
     root = math.sqrt(gap_sq)
     values = np.array([1j * s + root, 1j * s - root], dtype=np.complex128)
-    d = (
-        -params.rho**2 * cmath.exp(1j * params.nu)
-        + params.rho0**2 * cmath.exp(-1j * float(k))
-    )
-    re_c = params.rho * params.rho0 * (math.cos(float(k)) + math.cos(params.nu))
-    rows, normalizers = _kernel_rows(d, re_c, root, gap_sq)
-    vectors = np.array(list(rows)).T / math.sqrt(max(normalizers))
+    c, d = _symbol_entries(cmath.exp(-1j * float(k)), params)
+    re_c = c.real
+    normalizers = (2.0 * (gap_sq + re_c * root), 2.0 * (gap_sq - re_c * root))
+    rows = []
+    for j, sgn in enumerate((1.0, -1.0)):
+        if normalizers[j] >= normalizers[1 - j]:
+            rows.append((d, re_c + sgn * root))
+        else:
+            rows.append((-(re_c - sgn * root), d.conjugate()))
+    vectors = np.array(rows).T / math.sqrt(max(normalizers))
     return EigenSystem(
         k=float(k),
         values=values,

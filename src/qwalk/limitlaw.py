@@ -11,8 +11,8 @@ This module evaluates that law and every scalar function entering it:
 * ``momentum_branch`` / ``momentum_branch_derivative`` -- the two
   inverse branches of the group velocity and their derivative,
 * ``spectral_limit_moment`` -- limit moments straight from the
-  momentum-space spectral decomposition, an independent route used to
-  cross-check the quadrature of the density.
+  symbol's branch velocities and closed-form branch weights in momentum,
+  an independent route used to cross-check the quadrature of the density.
 
 Three law kinds (:data:`LAW_KINDS`) are built by :func:`make_limit_law`:
 
@@ -36,10 +36,13 @@ nodes, integrates it; equal panels keep the error local where the
 integrand varies fast, next to the special parameter set.  The law's one
 CDF is the antiderivative of each panel's interpolant through the rule.
 
-The spectral route integrates over momentum instead, with the same
-16-point rule on panels that halve towards ``k = -/+pi/2``, where the
-symbol's gap comes closest to closing; the panels reach as deep as the
-gap is narrow, so the route stays accurate next to the special set.
+The spectral route integrates over momentum instead: each symbol branch
+moves with its group velocity and weighs the squared overlap of its
+eigenvector with the coin, a closed form in ``k`` (Grimmett, Janson and
+Scudo, PRE 69, 026119, 2004).  It uses the same 16-point rule on panels
+that halve towards ``k = -/+pi/2``, where the symbol's gap comes closest
+to closing; the panels reach as deep as the gap is narrow, so the route
+stays accurate next to the special set.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier import DegenerateSymbolError, _kernel_rows, _like_input
+from .fourier import DegenerateSymbolError, _gap_parts, _like_input
 from .walk import CoinSpinor, WalkParams
 
 __all__ = [
@@ -490,22 +493,26 @@ def make_limit_law(
 def _spectral_nodes(
     params: WalkParams, coin: CoinSpinor
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second-branch velocity and both weighted branch overlaps in momentum.
+    """Second-branch velocity and both branch weights at the momentum nodes.
 
-    The overlaps are the squared overlaps of the rotated coin with the
-    ``+`` and ``-`` eigenvectors of the shifted symbol, each times its
-    quadrature weight over ``2 pi``; the ``+`` branch moves with
-    ``-velocity``.  The rule is the composite Gauss-Legendre rule of
-    :func:`_panel_rule` over one period centred on ``k* = -/+ pi/2``
-    (the sign of ``sin nu``), where ``|s(k)|`` peaks and the gap comes
-    closest to closing.  Its panels halve towards ``k*``, ``k* +/- [pi
-    2**-(j+1), pi 2**-j]`` for ``j < J``, plus ``[k* - pi 2**-J, k* +
-    pi 2**-J]``.  The integrand's nearest singularities are the branch
-    points of ``1 - s(k)**2`` at ``k* +/- i*eta`` with ``cosh(eta) = 1 +
-    g/p``, ``g = 1 - p(1 + |sin nu|)``.  ``J = ceil(log2(4 pi/eta))``
-    (at least 2) makes the centre panel at most ``eta/2`` wide, and every
-    other panel is as wide as its distance from ``k*``.  The arrays are
-    read-only, as they are shared between calls.
+    Branch ``+/-`` moves with ``-/+velocity`` and weighs ``n/2 +/- lean``,
+    the squared overlap of its eigenvector with the rotated coin, times
+    the node's quadrature weight over ``2 pi``.  With ``n`` and ``b`` the
+    sum and difference of ``|a0|**2`` and ``|a1|**2``, ``X + iY = a0
+    conj(a1) exp(1j nu)`` and ``gap_sq`` of :func:`~qwalk.fourier._gap_parts`,
+    ``lean = (-p b (cos k + cos nu)/2 + X (rho0**2 cos k - rho**2 cos nu)
+    - Y (rho0**2 sin k + rho**2 sin nu)) / sqrt(gap_sq)``.  The rule is
+    the composite Gauss-Legendre rule of :func:`_panel_rule` over one
+    period centred on ``k* = -/+ pi/2`` (the sign of ``sin nu``), where
+    ``|s(k)|`` peaks and the gap comes closest to closing.  Its panels
+    halve towards ``k*``, ``k* +/- [pi 2**-(j+1), pi 2**-j]`` for
+    ``j < J``, plus ``[k* - pi 2**-J, k* + pi 2**-J]``.  The integrand's
+    nearest singularities are the branch points of ``1 - s(k)**2`` at
+    ``k* +/- i*eta`` with ``cosh(eta) = 1 + g/p``, ``g = 1 - p(1 + |sin
+    nu|)``.  ``J = ceil(log2(4 pi/eta))`` (at least 2) makes the centre
+    panel at most ``eta/2`` wide, and every other panel is as wide as its
+    distance from ``k*``.  The arrays are read-only, as they are shared
+    between calls.
     """
     p, lo_sq, _ = _edge_squares(params)
     sin_nu = math.sin(params.nu)
@@ -525,23 +532,17 @@ def _spectral_nodes(
     k, weights = k.ravel(), weights.ravel() / (2.0 * np.pi)
     rr0 = params.rho * params.rho0
     cos_k, sin_k = np.cos(k), np.sin(k)
-    s = rr0 * (sin_k - sin_nu)
-    gap_sq = 1.0 - s * s
-    root = np.sqrt(gap_sq)
+    root = np.sqrt(_gap_parts(cos_k, sin_k, params)[1])
     velocity = rr0 * cos_k / root
-    d = -params.rho**2 * cmath.exp(1j * params.nu) + params.rho0**2 * (
-        cos_k - 1j * sin_k
-    )
-    re_c = rr0 * (cos_k + math.cos(params.nu))
-    rows, normalizers = _kernel_rows(d, re_c, root, gap_sq)
-    weights /= np.maximum(*normalizers)
-    half = cmath.exp(0.5j * params.nu)
-    phi0 = half * coin.a0
-    phi1 = half.conjugate() * coin.a1
-    weight_plus, weight_minus = (
-        np.abs(np.conj(v0) * phi0 + np.conj(v1) * phi1) ** 2 * weights
-        for v0, v1 in rows
-    )
+    a0_sq, a1_sq = abs(coin.a0) ** 2, abs(coin.a1) ** 2
+    cross = _coin_cross(coin) * cmath.exp(1j * params.nu)
+    lean = (
+        -0.5 * rr0 * (a0_sq - a1_sq) * (cos_k + math.cos(params.nu))
+        + cross.real * (params.rho0**2 * cos_k - params.rho**2 * math.cos(params.nu))
+        - cross.imag * (params.rho0**2 * sin_k + params.rho**2 * sin_nu)
+    ) / root
+    half_n = 0.5 * (a0_sq + a1_sq)
+    weight_plus, weight_minus = (half_n + lean) * weights, (half_n - lean) * weights
     for arr in (velocity, weight_plus, weight_minus):
         arr.flags.writeable = False
     return velocity, weight_plus, weight_minus
@@ -551,13 +552,13 @@ def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float
     """Limit moment from the momentum-space spectral decomposition.
 
     ``r`` is a nonnegative integer.  Integrates ``(branch velocity)^r``
-    times the squared overlap of each symbol eigenvector with the rotated
-    coin over one momentum period, with a composite Gauss-Legendre rule
-    graded towards the momentum where the gap comes closest to closing
-    (:func:`_spectral_nodes`).
+    times each branch's closed-form weight, the squared overlap of its
+    symbol eigenvector with the rotated coin, over one momentum period,
+    with a composite Gauss-Legendre rule graded towards the momentum
+    where the gap comes closest to closing (:func:`_spectral_nodes`).
     Away from the special set it takes 80 to a few hundred nodes and
     matches a 65536-node uniform trapezoid to 1e-15; at distance 1e-6
-    from it, 752 nodes match :meth:`LimitLaw.moment` to 1e-10.
+    from it, 752 nodes match :meth:`LimitLaw.moment` to 1e-11.
     Independent of the density quadrature route, which it cross-checks.
     The node arrays are computed once per ``(params, coin)`` and kept in
     a small cache.

@@ -767,6 +767,24 @@ def test_bad_variant_or_law_from_config_exits_2(tmp_path, capsys, command, line)
     assert line.partition("=")[2] in capsys.readouterr().err
 
 
+def test_unknown_config_key_exits_2_without_output(tmp_path, capsys):
+    """A mistyped key would otherwise run with the default it failed to set."""
+    out = tmp_path / "never.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rho=0.6\nnu=1.0\nt=10\nvarient=cmv_only\nout={out}\n")
+    assert run_cli("simulate", "--config", cfg) == 2
+    assert not out.exists()
+    assert "varient" in capsys.readouterr().err
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path):
+    out = tmp_path / "sim.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rho=0.6\nnu=1.0\nt=10\nlaw=theorem1\nout={out}\n")
+    assert run_cli("simulate", "--config", cfg) == 0
+    assert len(out.read_text().splitlines()) == 1 + 21
+
+
 def test_standard_law_off_special_exits_2(tmp_path):
     rc = run_cli(
         "density",

@@ -48,7 +48,6 @@ from qwalk.limitlaw import (
     _LEGENDRE_WEIGHTS,
     _RADICAND_CLAMP,
     LimitLaw,
-    _edge_squares,
     _radicand_given_root,
     _spectral_nodes,
 )
@@ -739,27 +738,10 @@ def _spectral_integrand(k, params, coin):
 
 
 def _uncached_spectral_moment(r, params, coin):
-    """The spectral route as one uncached computation, term for term.
-
-    Gauss-Legendre panels over one period that halve towards ``k* =
-    -/+pi/2``, as deep as ``eta``, the height of the branch points of
-    ``1 - s(k)**2`` over ``k*``, asks.
-    """
-    p, lo_sq, _ = _edge_squares(params)
-    a = abs(math.sin(params.nu))
-    g = lo_sq / (1.0 - p + p * a)
-    eta = 2.0 * math.asinh(math.sqrt(g / (2.0 * p)))
-    depth = max(2, math.ceil(math.log2(4.0 * math.pi / eta)))
-    widths = math.pi * 0.5 ** np.arange(depth + 1)
-    k_star = -0.5 * math.pi if math.sin(params.nu) >= 0.0 else 0.5 * math.pi
-    edges = k_star + np.concatenate((-widths, widths[::-1]))
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    k = (edges[:-1, None] + half * (_LEGENDRE_NODES + 1.0)).ravel()
-    weight = (half * _LEGENDRE_WEIGHTS).ravel() / (2.0 * np.pi)
-    velocity, over_plus, over_minus, norm = _spectral_integrand(k, params, coin)
-    weight = weight / norm
-    plus = np.dot((-velocity) ** r, over_plus * weight)
-    return float(plus + np.dot(velocity**r, over_minus * weight))
+    """The spectral route as one uncached computation of the same nodes."""
+    velocity, weight_plus, weight_minus = _spectral_nodes.__wrapped__(params, coin)
+    plus = np.dot((-velocity) ** r, weight_plus)
+    return float(plus + np.dot(velocity**r, weight_minus))
 
 
 def _trapezoid_spectral_moments(params, coin, n_orders, n_nodes=2**16):
@@ -808,17 +790,38 @@ def test_spectral_moment_matches_fine_trapezoid_at_generic_points():
     assert most <= 1024
 
 
+def _assert_moment_routes_agree(params):
+    """The spectral and quadrature moments r = 0..4 agree to 1e-11."""
+    for coin in (COIN_GEN, COIN_BAL, COIN_RIGHT):
+        law = make_limit_law("theorem1", params, coin)
+        for r in range(5):
+            assert abs(spectral_limit_moment(r, params, coin) - law.moment(r)) <= 1e-11
+
+
 @pytest.mark.parametrize("nu_sign", [1, -1])
 @pytest.mark.parametrize("d", [1e-3, 1e-4, 1e-5, 1e-6])
 def test_spectral_moment_next_to_the_special_set(d, nu_sign):
     """At distance d from (1/sqrt(2), +-pi/2) along (0.6, +-0.8), the two
-    moment routes agree to 1e-10; a 4096-node uniform trapezoid missed by
+    moment routes agree to 1e-11; a 4096-node uniform trapezoid missed by
     9.1e-8 at d = 1e-3 and 1.5e-4 at 1e-6."""
-    params = WalkParams(SQ2 + 0.6 * d, nu_sign * (math.pi / 2 + 0.8 * d))
-    for coin in (COIN_GEN, COIN_BAL, COIN_RIGHT):
-        law = make_limit_law("theorem1", params, coin)
-        for r in range(5):
-            assert abs(spectral_limit_moment(r, params, coin) - law.moment(r)) <= 1e-10
+    _assert_moment_routes_agree(
+        WalkParams(SQ2 + 0.6 * d, nu_sign * (math.pi / 2 + 0.8 * d))
+    )
+
+
+def test_spectral_moment_just_above_its_refusal():
+    """Along three more directions, down to just above the distance where
+    the spectral route refuses, the two moment routes agree to 1e-11."""
+    for (d_rho, d_nu), distances in (
+        ((-0.6, -0.8), (1e-5, 1e-6)),
+        ((1.0, 0.0), (1e-5, 1e-6, 4e-7)),
+        ((0.0, 1.0), (1e-5, 2e-6)),
+    ):
+        for d in distances:
+            for nu_sign in (1, -1):
+                _assert_moment_routes_agree(
+                    WalkParams(SQ2 + d_rho * d, nu_sign * (math.pi / 2 + d_nu * d))
+                )
 
 
 def test_spectral_rule_stays_small_down_to_its_refusal():
