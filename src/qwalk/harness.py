@@ -35,9 +35,10 @@ class ComparisonReport:
     ``positions``, ``simulated`` and ``approx`` are parallel arrays over
     the simulated window: exact probabilities beside the rescaled
     limit-density points.  ``moment_errors`` pairs each tested moment
-    order with ``|empirical - limit|``.  ``smoothing_width`` records the
-    moving-average window (in sites) used when comparing the points
-    against the oscillating simulation.
+    order with ``|empirical - limit|``.  ``approx`` is the raw
+    ``density(x/t)/t``; nothing here smooths.  ``smoothing_width`` is a
+    moving-average window (in sites) a reader may smooth the oscillating
+    ``simulated`` with before setting it beside ``approx``.
     """
 
     t: int
@@ -127,6 +128,6 @@ def run_comparison(
         ks_distance=ks,
         moment_errors=errors,
         positions=positions,
-        simulated=dist.probs.copy(),
+        simulated=dist.probs,
         approx=approx,
     )

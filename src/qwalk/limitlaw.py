@@ -28,13 +28,16 @@ Densities diverge like an inverse square root at the support edges.
 Each law has one formula, its edge form: the density times the chord
 ``sqrt(h*^2 - x^2)``, written with the vanishing edge factor cancelled
 analytically, so it is finite up to the edges and keeps its digits
-there.  :meth:`LimitLaw.density` divides it by the chord, and cdf/moment
-quadrature substitutes ``x = h* sin(theta)``, where the chord is
-``h* cos(theta)`` and the integrand is the edge form itself.  One
-composite Gauss-Legendre rule per law, 64 equal theta-panels of 16
-nodes, integrates it; equal panels keep the error local where the
-integrand varies fast, next to the special parameter set.  The law's one
-CDF is the antiderivative of each panel's interpolant through the rule.
+there.  theorem1's takes its branch radicands' roots from their sum and
+product, sums of nonnegative terms, so it keeps them next to the special
+set too, where one radicand vanishes.  :meth:`LimitLaw.density` divides
+it by the chord, and cdf/moment quadrature substitutes ``x = h*
+sin(theta)``, where the chord is ``h* cos(theta)`` and the integrand is
+the edge form itself.  One composite Gauss-Legendre rule per law, 64
+equal theta-panels of 16 nodes, integrates it; equal panels keep the
+error local where the integrand varies fast, next to the special
+parameter set.  The law's one CDF is the antiderivative of each panel's
+interpolant through the rule.
 
 The spectral route integrates over momentum instead: each symbol branch
 moves with its group velocity and weighs the squared overlap of its
@@ -74,11 +77,6 @@ __all__ = [
 VARIANT_LAWS = {"full": ("theorem1", "standard"), "cmv_only": ("cmv_only",)}
 LAW_KINDS = tuple(kind for kinds in VARIANT_LAWS.values() for kind in kinds)
 
-# Radicand values below this are analytic zeros buried in rounding noise
-# (at the special parameter set one branch radicand is identically zero
-# but evaluates to ~1e-16); clamping keeps sqrt from turning that noise
-# into 1e-8 density errors.
-_RADICAND_CLAMP = 1e-13
 _SPECIAL_PARAM_TOL = 1e-9
 # Smallest rho of a cmv_only law: its theta-rule loses mass below it
 # (worst over nu 9.4e-14 at 0.02, 1.5e-9 at 0.01, 0.99 at 1e-6).
@@ -383,39 +381,38 @@ class LimitLaw:
         return float(np.dot(power.ravel(), weighted.ravel()))
 
 
-def _theorem1_radical_ratio(params: WalkParams, hi: float, chord) -> np.ndarray:
-    """``(sqrt(eta+) + sqrt(eta-)) / (2 sqrt(H^2 - x^2))``, ``chord^2 = hi^2 - x^2``.
+def _theorem1_radical_ratio(params: WalkParams, h: float, chord) -> np.ndarray:
+    """``(sqrt(eta+) + sqrt(eta-)) / (2 sqrt(H^2 - x^2))``, ``chord^2 = h^2 - x^2``.
 
-    The support quartic factors as ``(hi^2 - x^2)(H^2 - x^2)`` with
-    ``H^2 = rho^2 rho0^2 / hi^2``.  Written with ``E = (1 - hi^2)(H^2 -
-    hi^2)``, the radicands' common edge value, both radicands and ``H^2 -
-    x^2`` are sums of non-cancelling terms in ``chord``, and the ratio
-    tends to ``sqrt(1 - hi^2)`` at the edge, special set included.
+    ``h = h*``; the support quartic is ``(h^2 - x^2)(H^2 - x^2)``, ``H = p/h``,
+    ``p = rho rho0``.  With ``c = chord^2``, ``k1 = 1 - p^2 cos(nu)^2``,
+    ``lo^2, hi^2`` of :func:`_edge_squares` and the radicands' common edge
+    value ``E = (1 - h^2) lo (p + h^2)/h`` (as ``p - h^2 = h lo``), ``H^2 -
+    x^2 = c + E/(1 - h^2)``, the radicands' mean is ``k1 c + E`` and their
+    product ``lo^2 hi^2 c^2 + 2 E lo ((1 + p) lo + k1 h)/(1 - h^2) c +
+    E^2``, sums of nonnegative terms.  The ratio is the root of ``(mean +
+    sqrt(product)) / (2 (H^2 - x^2))``: nothing cancels where a radicand
+    vanishes, and it tends to ``sqrt(1 - h^2)`` at the edge.
     """
-    p = params.rho * params.rho0
-    edge = max(_radicand_given_root(hi * hi, 0.0, params, 1), 0.0)
-    # Four arrays of the chord's shape (0-d for a scalar), reused in place;
-    # each value rounds as in the array-per-step form, operands at most
-    # commuted.
+    p, lo_sq, hi_sq = _edge_squares(params)
+    lo, h_sq = math.sqrt(lo_sq), h * h
+    k1 = 1.0 - (p * math.cos(params.nu)) ** 2
+    edge = (1.0 - h_sq) * lo * (p + h_sq) / h
+    # Three arrays of the chord's shape (0-d for a scalar), reused in place.
     shape = np.shape(chord)
-    chord_sq = np.square(chord, out=np.empty(shape))
-    root = np.add(chord_sq, edge / (1.0 - hi * hi), out=np.empty(shape))
-    np.sqrt(root, out=root)  # sqrt(H^2 - x^2)
-    mean = np.multiply(chord_sq, 1.0 - (p * math.cos(params.nu)) ** 2, out=chord_sq)
-    mean += edge
-    minus = np.multiply(2.0 * p * math.sin(params.nu), chord, out=np.empty(shape))
-    minus *= root
-    plus = np.add(mean, minus, out=np.empty(shape))
-    np.subtract(mean, minus, out=minus)
-    # Relative to the radicands' scale, which vanishes at the edge.
-    mean *= _RADICAND_CLAMP
-    for eta in (plus, minus):
-        np.copyto(eta, 0.0, where=eta < mean)
-        np.sqrt(eta, out=eta)
-    plus += minus
-    root *= 2.0
-    plus /= root
-    return plus
+    c = np.square(chord, out=np.empty(shape))
+    outer = np.add(c, edge / (1.0 - h_sq), out=np.empty(shape))  # H^2 - x^2
+    prod = np.multiply(c, lo_sq * hi_sq, out=np.empty(shape))
+    prod += 2.0 * edge * lo * ((1.0 + p) * lo + k1 * h) / (1.0 - h_sq)
+    prod *= c
+    prod += edge * edge
+    np.sqrt(prod, out=prod)  # sqrt(eta+ eta-)
+    ratio = np.multiply(c, k1, out=c)
+    ratio += edge
+    ratio += prod
+    outer *= 2.0
+    ratio /= outer
+    return np.sqrt(ratio, out=ratio)
 
 
 def _special_branch_index(params: WalkParams) -> int | None:

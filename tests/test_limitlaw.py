@@ -46,9 +46,8 @@ from qwalk import (
 from qwalk.limitlaw import (
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
-    _RADICAND_CLAMP,
     LimitLaw,
-    _radicand_given_root,
+    _edge_squares,
     _spectral_nodes,
 )
 
@@ -346,6 +345,21 @@ def test_density_integrates_to_one(kind):
         assert law.moment(0) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_theorem1_keeps_unit_mass_next_to_the_special_set():
+    """At distance 0 and 1e-12 to 1e-3 from (1/sqrt(2), +-pi/2), along six
+    directions, moment(0) and cdf(h*) are 1 within 1e-14: the small branch
+    radicand, of order d**2 there, keeps its root."""
+    for d in (0.0, 1e-12, 1e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-3):
+        for d_rho, d_nu in (
+            (0.6, 0.8), (-0.6, 0.8), (0.6, -0.8), (-0.6, -0.8), (1.0, 0.0), (0.0, 1.0)
+        ):
+            for nu_sign in (1, -1):
+                params = WalkParams(SQ2 + d_rho * d, nu_sign * (math.pi / 2 + d_nu * d))
+                law = make_limit_law("theorem1", params, COIN_GEN)
+                assert abs(law.moment(0) - 1.0) <= 1e-14
+                assert abs(law.cdf(law.support_hi) - 1.0) <= 1e-14
+
+
 def test_cdf_endpoints_and_monotonicity():
     law = make_limit_law("theorem1", PARAMS_CANONICAL, COIN_BAL)
     assert law.cdf(-law.support_hi) == pytest.approx(0.0, abs=1e-9)
@@ -517,22 +531,22 @@ def test_density_keeps_its_digits_next_to_the_edges(kind, params, coin, n):
     )
 
 
-def _array_per_step_ratio(params, hi, chord):
+def _array_per_step_ratio(params, h, chord):
     """``_theorem1_radical_ratio`` with one new array per step.
 
-    A test-side copy of the form the in-place evaluation replaced; it
-    takes ``sqrt(outer)`` twice.
+    A test-side copy of its sum/product form without reused arrays; the
+    in-place evaluation must round every value alike.
     """
-    p = params.rho * params.rho0
-    edge = max(_radicand_given_root(hi * hi, 0.0, params, 1), 0.0)
+    p, lo_sq, hi_sq = _edge_squares(params)
+    lo, h_sq = math.sqrt(lo_sq), h * h
+    k1 = 1.0 - (p * math.cos(params.nu)) ** 2
+    edge = (1.0 - h_sq) * lo * (p + h_sq) / h
     chord_sq = np.square(chord)
-    outer = edge / (1.0 - hi * hi) + chord_sq
-    mean = edge + (1.0 - (p * math.cos(params.nu)) ** 2) * chord_sq
-    split = 2.0 * p * math.sin(params.nu) * chord * np.sqrt(outer)
-    total = 0.0
-    for eta in (mean + split, mean - split):
-        total = total + np.sqrt(np.where(eta < _RADICAND_CLAMP * mean, 0.0, eta))
-    return total / (2.0 * np.sqrt(outer))
+    linear = 2.0 * edge * lo * ((1.0 + p) * lo + k1 * h) / (1.0 - h_sq)
+    prod = (lo_sq * hi_sq * chord_sq + linear) * chord_sq + edge * edge
+    mean = k1 * chord_sq + edge
+    outer = chord_sq + edge / (1.0 - h_sq)
+    return np.sqrt((mean + np.sqrt(prod)) / (2.0 * outer))
 
 
 def _array_per_step_edge_form(law, xs, chord):
