@@ -23,8 +23,11 @@ Conventions used throughout:
   combination of the Fourier coefficients of ``U_t`` and ``U_(t-1)``
   at neighbouring sites.  Those are even trigonometric polynomials of
   degree < t, so a type-I DCT over ``M >= 2*t + 3`` equispaced nodes
-  (a real FFT of the even extension) gives them exactly, and the result
-  matches lattice evolution to rounding.  Sites ``x`` and ``-x`` read
+  gives them exactly, and the result matches lattice evolution to
+  rounding.  The DCT is split into a real FFT of length ``M/2`` for the
+  even coefficients and an inverse real FFT of length ``M/4`` for the
+  odd ones, and the nodes' cosines and sines, which are also its
+  twiddles, come from one eighth of a period.  Sites ``x`` and ``-x`` read
   the same four coefficients, so one basis over ``|x| <= t`` serves
   both halves, and the site phase ``exp(1j*nu*x)`` with its powers of
   ``1j`` is an outer product of about ``sqrt(t)`` block phases and as
@@ -51,8 +54,8 @@ __all__ = [
 ]
 
 #: Largest step count evolve_fourier() accepts.  Its arrays grow with
-#: ``t`` and are built before any work starts: the engine peaks near 150
-#: MB RSS at t = 1e6 and 275 MB at t = 2e6 (``qwalk simulate`` near 175
+#: ``t`` and are built before any work starts: the engine peaks near 130
+#: MB RSS at t = 1e6 and 230 MB at t = 2e6 (``qwalk simulate`` near 175
 #: and 300 MB), so a larger cap could exhaust memory where a lattice run
 #: would only be slow.
 MAX_STEPS = 2_000_000
@@ -60,6 +63,9 @@ MAX_STEPS = 2_000_000
 # Below this squared half-gap the two eigenvalues are treated as
 # colliding: eigensystem() refuses.
 _GAP_SQ_TOL = 1e-14
+
+# Rows of the half basis per matmul into the reversed left half.
+_MATMUL_ROWS = 16384
 
 # i**n for n mod 4; powers of 1j taken in floating point drift in phase.
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
@@ -317,20 +323,81 @@ def _chebyshev_pair(cos_d, sin_d, t: int, out=None) -> np.ndarray:
     return out
 
 
-def _dct1(ext: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Type-I DCT of the rows of ``ext[:, :M/2 + 1]``, as ``out.real``.
+def _node_table(m_count: int, out: np.ndarray) -> np.ndarray:
+    """``cos`` and ``sin`` of ``theta_j = 2*pi*j/M``, ``j = 0..M/2``, into ``out``.
 
-    ``ext`` has shape ``(rows, M)`` with ``M`` even; its last ``M/2 - 1``
-    columns are overwritten with the even extension of the first
-    ``M/2 + 1``, whose real FFT (into the complex ``out``, shape
-    ``(rows, M/2 + 1)``) has the DCT as its real part.  Row by row, the
-    FFT's own buffer holds one row at a time.
+    ``out`` has shape ``(2, M/2 + 1)``; ``M`` is a multiple of 4.  Only
+    the nodes up to ``pi/4`` (``j <= M/8``) call ``cos`` and ``sin``; the
+    others are exact copies by ``pi/2 - theta_j = theta_(M/4 - j)`` and
+    ``pi - theta_j = theta_(M/2 - j)``.  That is a quarter of the calls,
+    and every node stays within 1.6e-16 of its true value, where the
+    rounding of angles up to ``pi`` puts direct calls up to 5.6e-16 off
+    (``M = 202500``).
     """
-    half_m = ext.shape[1] // 2
-    ext[:, half_m + 1 :] = ext[:, half_m - 1 : 0 : -1]
-    for row, row_out in zip(ext, out):
-        np.fft.rfft(row, out=row_out)
+    cos_th, sin_th = out
+    quarter = m_count // 4
+    eighth = quarter // 2
+    theta = sin_th[quarter + 1 : quarter + eighth + 2]  # filled last
+    np.multiply(2.0 * np.pi / m_count, np.arange(eighth + 1), out=theta)
+    np.cos(theta, out=cos_th[: eighth + 1])
+    np.sin(theta, out=sin_th[: eighth + 1])
+    cos_th[eighth + 1 : quarter + 1] = sin_th[quarter - eighth - 1 :: -1]
+    sin_th[eighth + 1 : quarter + 1] = cos_th[quarter - eighth - 1 :: -1]
+    np.negative(cos_th[quarter - 1 :: -1], out=cos_th[quarter + 1 :])
+    sin_th[quarter + 1 :] = sin_th[quarter - 1 :: -1]
     return out
+
+
+def _split_dct1(rows: np.ndarray, nodes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Type-I DCT of each row of ``rows`` (shape ``(r, N + 1)``), in place.
+
+    ``N = M/2`` with ``M`` a multiple of 4, ``nodes`` is the
+    :func:`_node_table` of ``M``, and ``scratch`` is a float array of at
+    least ``3*M/2 + 4`` elements.  With ``L = M/4`` and ``x`` a row:
+
+    * the even outputs are the DCT-I of the fold ``x_j + x_(N-j)`` over
+      ``L + 1`` points, the real part of the real FFT of its even
+      extension to ``N`` points;
+    * the odd outputs are the DCT-III of ``z_j = x_j - x_(N-j)`` over ``L``
+      points (Makhoul, IEEE TASSP 28(1), 1980): the inverse real FFT of
+      length ``L`` of ``W_k = exp(2j*pi*k/M) (z_k - 1j*z_(L-k))``
+      (``z_L = 0``), read in the order ``v[0], v[L-1], v[1], v[L-2], ...``.
+
+    Both transforms are half and a quarter the length of the real FFT of
+    the full even extension, whose rows of ``M`` floats and their spectra
+    overflow a 2 MB L2 cache once ``M`` nears 2e5.  The twiddles are the
+    table's first eighth, so the transform makes no trigonometric call.
+    """
+    half_m = rows.shape[1] - 1
+    quarter = half_m // 2
+    eighth = quarter // 2
+    # Scratch, in floats: the fold's spectrum, W, the twiddles
+    # exp(2j*pi*k/M) for k = 1..M/8 (W_0 = z_0 needs none), the fold.
+    ends = (0, half_m + 2, half_m + 2 * eighth + 4, half_m + 4 * eighth + 4)
+    spec, wave, twiddle = (
+        scratch[lo:hi].view(np.complex128) for lo, hi in zip(ends, ends[1:])
+    )
+    ext = scratch[ends[-1] : ends[-1] + half_m]
+    twiddle.real = nodes[0, 1 : eighth + 1]
+    twiddle.imag = nodes[1, 1 : eighth + 1]
+    for x in rows:
+        np.add(x[: quarter + 1], x[half_m : quarter - 1 : -1], out=ext[: quarter + 1])
+        ext[quarter + 1 :] = ext[quarter - 1 : 0 : -1]
+        np.subtract(
+            x[: eighth + 1], x[half_m : half_m - eighth - 1 : -1], out=wave.real
+        )
+        np.subtract(
+            x[quarter : quarter + eighth + 1],
+            x[quarter : quarter - eighth - 1 : -1],
+            out=wave.imag,
+        )
+        wave[1:] *= twiddle
+        np.fft.rfft(ext, out=spec)
+        odd = np.fft.irfft(wave, quarter, norm="forward", out=ext[:quarter])
+        x[::2] = spec.real
+        x[1::4] = odd[: (quarter + 1) // 2]
+        x[3::4] = odd[: (quarter - 1) // 2 : -1]
+    return rows
 
 
 def evolve_fourier(
@@ -344,18 +411,22 @@ def evolve_fourier(
     (full walk, ``sigma = 1j``) or ``cos k`` (swap-free walk,
     ``sigma = 1``).  Their Fourier coefficients are the type-I DCT of
     each row over ``M/2 + 1`` nodes (``M >= 2t + 3``, a multiple of 4
-    with small prime factors), computed as the real FFT of the row's
-    even extension to ``M`` nodes; each site then combines them with
-    the three harmonics of ``A v``.  At t = 1e5 this takes about 30 ms
-    and allocates at most 13 MB in all, 9.6 MB of which is one block
-    that ends in the 6.4 MB of amplitudes (full walk, one thread of a
-    2-vCPU VM, numpy 2.4).  The amplitudes are a view into that block,
-    so a state that is kept holds all of it, ``12t + 8`` floats.
+    with small prime factors), computed by :func:`_split_dct1` from
+    real FFTs of lengths ``M/2`` and ``M/4`` on the
+    :func:`_node_table`; each site then combines them with the three
+    harmonics of ``A v``.  At t = 1e5 this takes about 15 ms and
+    allocates at most 13 MB in all, 9.6 MB of which is one block that
+    ends in the 6.4 MB of amplitudes (full walk, one thread of a 2-vCPU
+    VM, numpy 2.4); a call peaks about 10 MB RSS above the process
+    before it.  The amplitudes are a view into that block, so a state
+    that is kept holds all of it, ``12t + 8`` floats.
 
     Returns a :class:`~qwalk.walk.WaveState` on the window ``[-t, t]``
     whose distribution matches lattice evolution within 1e-12 in total
-    variation (checked up to t = 3000).  This is the engine behind
-    :func:`~qwalk.harness.run_comparison` and ``qwalk simulate``.
+    variation (checked up to t = 3000) and whose amplitudes are within
+    3e-13 of the same formula in long double at t = 1e5.  This is the
+    engine behind :func:`~qwalk.harness.run_comparison` and ``qwalk
+    simulate``.
 
     Raises
     ------
@@ -381,21 +452,16 @@ def evolve_fourier(
     # One block holds every large array, the result included: with two
     # large blocks of about the same size a call's heap outgrows twice the
     # larger one, and glibc then trims the heap after each call and the
-    # next call faults it back in.  Regions, in floats: [0, 2M) takes the
-    # Chebyshev rows and their even extension, and [2M, 4M + 4) first the
-    # node angles, cosines and sines, then the DCT's complex output.
-    # [0, 4t + 4), clear of that output as 2M >= 4t + 6, then takes the
-    # half basis and after it the site phases, and the rest of the block
-    # the amplitudes, which the result keeps as a view.
+    # next call faults it back in.  Regions, in floats: [0, 2M) is the
+    # DCT's scratch, [2M, 3M + 2) the Chebyshev rows and then, in place,
+    # their DCT, and [3M + 2, 4M + 4) the node table.  [0, 4t + 4), clear
+    # of the DCT as 2M >= 4t + 6, then takes the half basis and after it
+    # the site phases, and the rest of the block the amplitudes, which the
+    # result keeps as a view.
     block = np.empty(max(12 * t + 8, 4 * m_count + 4))
-    ext = block[: 2 * m_count].reshape(2, m_count)
-    cheb = ext[:, : half_m + 1]
-    upper = block[2 * m_count : 4 * m_count + 4]
-    coef = upper.view(np.complex128).reshape(2, half_m + 1)
-    theta, cos_th, sin_th = upper[: 3 * (half_m + 1)].reshape(3, half_m + 1)
-    np.multiply(2.0 * np.pi / m_count, np.arange(half_m + 1), out=theta)
-    np.cos(theta, out=cos_th)
-    np.sin(theta, out=sin_th)
+    coef = block[2 * m_count : 3 * m_count + 2].reshape(2, half_m + 1)
+    nodes = block[3 * m_count + 2 : 4 * m_count + 4].reshape(2, half_m + 1)
+    cos_th, sin_th = _node_table(m_count, out=nodes)
     phi = coin.as_array()
     half = cmath.exp(0.5j * params.nu)
     rr0 = params.rho * params.rho0
@@ -405,7 +471,7 @@ def evolve_fourier(
         # At k = pi/2 - theta, sin k = cos theta, and the coefficient of
         # U at site x is 1j**x times its DCT value at |x|, over M.
         s, gap_sq = _gap_parts(sin_th, cos_th, params)
-        _chebyshev_pair(s, np.sqrt(gap_sq, out=gap_sq), t, out=cheb)
+        _chebyshev_pair(s, np.sqrt(gap_sq, out=gap_sq), t, out=coef)
         del s, gap_sq
         v0, v1 = half * phi[0], half.conjugate() * phi[1]
         eiv = cmath.exp(1j * params.nu)
@@ -430,7 +496,7 @@ def evolve_fourier(
         # G = [[rho0**2 e - rho**2, -rr0 (e + 1)],
         #      [rr0 (conj(e) + 1), rho0**2 conj(e) - rho**2]], e = exp(-1j*k).
         tau, sin_ang = _swap_free_gap(cos_th, sin_th, params)
-        _chebyshev_pair(tau, sin_ang, t, out=cheb)
+        _chebyshev_pair(tau, sin_ang, t, out=coef)
         del tau, sin_ang
         v0, v1 = half.conjugate() * phi[0], half * phi[1]
         weights = np.array(
@@ -442,12 +508,12 @@ def evolve_fourier(
             ]
         ) * np.array([half, half.conjugate()])
 
-    _dct1(ext, out=coef)
+    _split_dct1(coef, nodes, block[: 2 * m_count])
     # Sites x and -x both take U_t at |x|, |x| - 1 and |x| + 1 (U_t[1] for
     # both neighbours of x = 0) and U_(t-1) at |x|; only the two
     # neighbours swap sides.  So one basis over |x| = 0..t serves both
     # halves, the left one with weight rows 1 and 2 swapped.
-    u_t, u_prev = coef.real
+    u_t, u_prev = coef
     basis = block[: 4 * (t + 1)].reshape(t + 1, 4)
     basis[:, 0] = u_t[: t + 1]
     basis[0, 1] = u_t[1]
@@ -459,7 +525,12 @@ def evolve_fourier(
     row_parts = block[4 * (t + 1) : 12 * t + 8].reshape(n_sites, 4)
     rows = row_parts.view(np.complex128)
     np.matmul(basis, weights, out=row_parts[t:])
-    np.matmul(basis, weights[[0, 2, 1, 3]], out=row_parts[t::-1])
+    # The left half runs backwards, and matmul copies a reversed operand
+    # whole (64 MB at MAX_STEPS) unless it comes in cache-sized pieces.
+    left, swapped = row_parts[t::-1], weights[[0, 2, 1, 3]]
+    for lo in range(0, t + 1, _MATMUL_ROWS):
+        hi = lo + _MATMUL_ROWS
+        np.matmul(basis[lo:hi], swapped, out=left[lo:hi])
     if full_walk:
         # Site x = i - t takes exp(1j*nu*x) * 1j**(i - 1).  With
         # i = q*width + r and width a multiple of 4 that is the block phase

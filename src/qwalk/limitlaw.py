@@ -263,7 +263,14 @@ def momentum_branch_derivative(x, params: WalkParams, sign: int):
     """
     x_arr = _branch_argument(x, params, sign)
     xi = np.maximum(support_polynomial(x_arr, params), 0.0)
-    eta = _radicand_given_root(np.square(x_arr), np.sqrt(xi), params, sign)
+    # The radicand of the sign opposite to sin(nu) is the small one, and
+    # vanishes on the special set: it is the product over the large one.
+    big_sign = 1 if math.sin(params.nu) >= 0.0 else -1
+    eta = _radicand_given_root(np.square(x_arr), np.sqrt(xi), params, big_sign)
+    if sign != big_sign:
+        h = support_halfwidth(params)
+        chord_sq = (h - np.abs(x_arr)) * (h + np.abs(x_arr))
+        eta = _radicand_parts(params, h, chord_sq)[2] / eta
     out = -sign * np.sqrt(np.maximum(eta, 0.0)) / (
         (1.0 - np.square(x_arr)) * np.sqrt(xi)
     )
@@ -381,31 +388,41 @@ class LimitLaw:
         return float(np.dot(power.ravel(), weighted.ravel()))
 
 
-def _theorem1_radical_ratio(params: WalkParams, h: float, chord) -> np.ndarray:
-    """``(sqrt(eta+) + sqrt(eta-)) / (2 sqrt(H^2 - x^2))``, ``chord^2 = h^2 - x^2``.
+def _radicand_parts(params: WalkParams, h: float, c):
+    """``k1``, ``E`` and ``eta+ eta-`` (a new array) at ``c = h^2 - x^2``.
 
-    ``h = h*``; the support quartic is ``(h^2 - x^2)(H^2 - x^2)``, ``H = p/h``,
-    ``p = rho rho0``.  With ``c = chord^2``, ``k1 = 1 - p^2 cos(nu)^2``,
-    ``lo^2, hi^2`` of :func:`_edge_squares` and the radicands' common edge
-    value ``E = (1 - h^2) lo (p + h^2)/h`` (as ``p - h^2 = h lo``), ``H^2 -
-    x^2 = c + E/(1 - h^2)``, the radicands' mean is ``k1 c + E`` and their
-    product ``lo^2 hi^2 c^2 + 2 E lo ((1 + p) lo + k1 h)/(1 - h^2) c +
-    E^2``, sums of nonnegative terms.  The ratio is the root of ``(mean +
-    sqrt(product)) / (2 (H^2 - x^2))``: nothing cancels where a radicand
-    vanishes, and it tends to ``sqrt(1 - h^2)`` at the edge.
+    ``h = h*``, ``p = rho rho0``, ``k1 = 1 - p^2 cos(nu)^2``, ``lo^2, hi^2``
+    of :func:`_edge_squares`, and ``E = (1 - h^2) lo (p + h^2)/h`` is the
+    radicands' common value at the edge (as ``p - h^2 = h lo``).  Their
+    mean is ``k1 c + E`` and their product ``lo^2 hi^2 c^2 + 2 E lo ((1 +
+    p) lo + k1 h)/(1 - h^2) c + E^2``, both sums of nonnegative terms.
     """
     p, lo_sq, hi_sq = _edge_squares(params)
     lo, h_sq = math.sqrt(lo_sq), h * h
     k1 = 1.0 - (p * math.cos(params.nu)) ** 2
     edge = (1.0 - h_sq) * lo * (p + h_sq) / h
-    # Three arrays of the chord's shape (0-d for a scalar), reused in place.
-    shape = np.shape(chord)
-    c = np.square(chord, out=np.empty(shape))
-    outer = np.add(c, edge / (1.0 - h_sq), out=np.empty(shape))  # H^2 - x^2
-    prod = np.multiply(c, lo_sq * hi_sq, out=np.empty(shape))
+    prod = np.multiply(c, lo_sq * hi_sq, out=np.empty(np.shape(c)))
     prod += 2.0 * edge * lo * ((1.0 + p) * lo + k1 * h) / (1.0 - h_sq)
     prod *= c
     prod += edge * edge
+    return k1, edge, prod
+
+
+def _theorem1_radical_ratio(params: WalkParams, h: float, chord) -> np.ndarray:
+    """``(sqrt(eta+) + sqrt(eta-)) / (2 sqrt(H^2 - x^2))``, ``chord^2 = h^2 - x^2``.
+
+    ``h = h*``; the support quartic is ``(h^2 - x^2)(H^2 - x^2)``, ``H = p/h``,
+    ``p = rho rho0``, and with ``c = chord^2`` and :func:`_radicand_parts`,
+    ``H^2 - x^2 = c + E/(1 - h^2)``.  The ratio is the root of ``(mean +
+    sqrt(product)) / (2 (H^2 - x^2))``: nothing cancels where a radicand
+    vanishes, and it tends to ``sqrt(1 - h^2)`` at the edge.
+    """
+    # Three arrays of the chord's shape (0-d for a scalar), reused in place.
+    shape = np.shape(chord)
+    c = np.square(chord, out=np.empty(shape))
+    outer = np.empty(shape)
+    k1, edge, prod = _radicand_parts(params, h, c)
+    np.add(c, edge / (1.0 - h * h), out=outer)  # H^2 - x^2
     np.sqrt(prod, out=prod)  # sqrt(eta+ eta-)
     ratio = np.multiply(c, k1, out=c)
     ratio += edge

@@ -36,8 +36,10 @@ from qwalk import (
 from qwalk.fourier import (
     MAX_STEPS,
     _chebyshev_pair,
-    _dct1,
     _node_count,
+    _node_table,
+    _one_plus_minus,
+    _split_dct1,
     _swap_free_gap,
     _unit_phases,
 )
@@ -330,16 +332,21 @@ def test_node_count_follows_scipy_next_fast_len():
         assert _node_count(t) == 4 * next_fast_len(quarter, real=True), t
 
 
-@pytest.mark.parametrize("t", [1, 2, 37, 100_000])
-def test_dct1_matches_scipy_bit_for_bit(t):
-    """The real FFT of the even extension is scipy's type-I DCT, exactly."""
+@pytest.mark.parametrize("t", [1, 2, 3, 37, 1100, 100_000])
+def test_split_dct1_matches_scipy(t):
+    """The split DCT-I is scipy's type-I DCT to a few ulp of each row's scale.
+
+    t = 1 and 2 give the least node count, M = 8; L = M/4 is odd at
+    t = 3 and 1e5 and even at 37 and 1100.
+    """
     m_count = _node_count(t)
     rows = np.random.default_rng(t).normal(size=(2, m_count // 2 + 1))
-    ext = np.empty((2, m_count))
-    ext[:, : m_count // 2 + 1] = rows
-    out = np.empty((2, m_count // 2 + 1), dtype=np.complex128)
-    assert _dct1(ext, out) is out
-    assert np.array_equal(out.real, dct(rows, type=1))
+    nodes = _node_table(m_count, np.empty((2, m_count // 2 + 1)))
+    got = rows.copy()
+    assert _split_dct1(got, nodes, np.empty(3 * m_count // 2 + 4)) is got
+    ref = dct(rows, type=1)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(np.float64).eps * scale)
 
 
 @pytest.mark.parametrize("t", [37, 70, 1100])
@@ -419,27 +426,32 @@ def test_evolve_fourier_allocation_peak_at_depth():
     assert peak <= 14e6
 
 
-def _swap_free_full_basis(coin, params, t):
-    """Swap-free amplitudes with the per-site basis over all 2t + 1 sites.
+def _site_weights(coin, params, variant):
+    """The engine's (4, 2) site weights, in its own double arithmetic.
 
-    A test-side copy of the site stage the half basis replaced: column
-    j of site x holds U_t at |x|, |x - 1| and |x + 1|, then U_(t-1) at
-    |x|, each read off the DCT by its own index.
+    Rows: U_t at x, at x - 1 and at x + 1, then U_(t-1) at x; the full
+    walk's site phase exp(1j*nu*x) * 1j**(x + t - 1) comes on top.
     """
-    m_count = _node_count(t)
-    half_m = m_count // 2
-    n_sites = 2 * t + 1
-    theta = (2.0 * np.pi / m_count) * np.arange(half_m + 1)
-    ext = np.empty((2, m_count))
-    tau, sin_ang = _swap_free_gap(np.cos(theta), np.sin(theta), params)
-    _chebyshev_pair(tau, sin_ang, t, out=ext[:, : half_m + 1])
-    coef = _dct1(ext, np.empty((2, half_m + 1), dtype=np.complex128))
     phi = coin.as_array()
     half = cmath.exp(0.5j * params.nu)
     rr0 = params.rho * params.rho0
     rho2, rho02 = params.rho**2, params.rho0**2
+    if variant == "full":
+        v0, v1 = half * phi[0], half.conjugate() * phi[1]
+        eiv = cmath.exp(1j * params.nu)
+        return np.array(
+            [
+                [
+                    -eiv * (rr0 * v0 + rho2 * v1),
+                    eiv.conjugate() * (rr0 * v1 - rho2 * v0),
+                ],
+                [-1j * (rho02 * v1 - rr0 * v0), 0.0],
+                [0.0, 1j * (rho02 * v0 + rr0 * v1)],
+                [-1j * v0, -1j * v1],
+            ]
+        ) * np.array([half.conjugate(), half])
     v0, v1 = half.conjugate() * phi[0], half * phi[1]
-    weights = np.array(
+    return np.array(
         [
             [-rho2 * v0 - rr0 * v1, rr0 * v0 - rho2 * v1],
             [rho02 * v0 - rr0 * v1, 0.0],
@@ -447,15 +459,121 @@ def _swap_free_full_basis(coin, params, t):
             [-v0, -v1],
         ]
     ) * np.array([half, half.conjugate()])
-    u_t, u_prev = coef.real
-    basis = np.empty((n_sites, 4))
+
+
+def _full_basis(u_t, u_prev, t):
+    """Per-site basis over all 2t + 1 sites: column j of site x holds U_t
+    at |x|, |x - 1| and |x + 1|, then U_(t-1) at |x|, each read off the
+    DCT by its own index."""
+    n_sites = 2 * t + 1
+    basis = np.empty((n_sites, 4), dtype=u_t.dtype)
     for j, (row, centre) in enumerate(
         ((u_t, t), (u_t, t + 1), (u_t, t - 1), (u_prev, t))
     ):
         basis[centre:, j] = row[: n_sites - centre]
         basis[:centre, j] = row[centre:0:-1]
-    weights /= m_count
-    return (basis @ weights.view(np.float64)).view(np.complex128)
+    return basis
+
+
+def _swap_free_full_basis(coin, params, t):
+    """Swap-free amplitudes with the per-site basis over all 2t + 1 sites.
+
+    A test-side copy of the site stage the half basis replaced, on the
+    engine's own nodes, Chebyshev rows and DCT.
+    """
+    m_count = _node_count(t)
+    nodes = _node_table(m_count, np.empty((2, m_count // 2 + 1)))
+    tau, sin_ang = _swap_free_gap(*nodes, params)
+    coef = _chebyshev_pair(tau, sin_ang, t)
+    _split_dct1(coef, nodes, np.empty(2 * m_count))
+    weights = _site_weights(coin, params, "cmv_only") / m_count
+    return (_full_basis(*coef, t) @ weights.view(np.float64)).view(np.complex128)
+
+
+def _long_double_amplitudes(coin, params, t, variant):
+    """The engine's Chebyshev/DCT formula with every node and site in long double.
+
+    The constants (rho*rho0, sin nu, the site weights) are the engine's
+    doubles, so only the rounding of the nodes, the Chebyshev rows, the
+    DCT and the site sums and phases differs.  Nodes are direct calls,
+    ``U_n = sin(n*eps)/sin(eps)`` at the reflected angle, the DCT-I is
+    the real FFT of the full even extension, and each site has its own
+    basis row.
+    """
+    ld = np.longdouble
+    m_count = _node_count(t)
+    theta = 2 * np.arccos(ld(-1)) * np.arange(m_count // 2 + 1) / m_count
+    cos_th, sin_th = np.cos(theta), np.sin(theta)
+    rr0 = params.rho * params.rho0
+    small = sin_th**2 / (1 + np.abs(cos_th))
+    one_plus = np.where(cos_th >= 0, 1 + cos_th, small)  # 1 + cos theta
+    one_minus = np.where(cos_th >= 0, small, 1 - cos_th)
+    if variant == "full":
+        # k = pi/2 - theta: sin k = cos theta
+        nu_plus, nu_minus = _one_plus_minus(math.sin(params.nu), math.cos(params.nu))
+        base = (params.rho - params.rho0) ** 2
+        cos_d = rr0 * (cos_th - math.sin(params.nu))
+        sin_d = np.sqrt(
+            (base + rr0 * (one_plus + float(nu_minus)))
+            * (base + rr0 * (one_minus + float(nu_plus)))
+        )
+    else:
+        cos_d = params.rho0**2 * cos_th - params.rho**2
+        sin_d = params.rho0 * np.sqrt(
+            one_plus * (2.0 * params.rho**2 + params.rho0**2 * one_minus)
+        )
+    eps = np.arctan2(sin_d, np.abs(cos_d))
+    sin_eps = np.sin(eps)
+    positive = sin_eps > 0
+    rows = []
+    for n in (t, t - 1):
+        u = np.where(positive, np.sin(n * eps) / np.where(positive, sin_eps, 1), n)
+        rows.append(np.where(cos_d < 0, (-1) ** (n + 1) * u, u))
+    rows = np.array(rows)
+    coef = np.fft.rfft(np.concatenate((rows, rows[:, -2:0:-1]), axis=1)).real
+    weights = _site_weights(coin, params, variant).astype(np.clongdouble)
+    amps = _full_basis(*coef, t) @ weights
+    amps /= m_count
+    if variant == "full":
+        x = np.arange(-t, t + 1)
+        turns = np.array([1, 1j, -1, -1j], dtype=np.clongdouble)[(x + t - 1) % 4]
+        amps *= (np.exp(1j * ld(params.nu) * x) * turns)[:, None]
+    return amps
+
+
+@pytest.mark.parametrize("t, bound", [(3000, 4e-14), (100_000, 3e-13)])
+@pytest.mark.parametrize("variant", ["full", "cmv_only"])
+@pytest.mark.parametrize(
+    "params, coin",
+    [
+        (WalkParams(0.6, 0.7), COIN_GEN),
+        (WalkParams(0.3, 2.9), COIN_BAL),
+        (WalkParams(0.85, -1.3), COIN_RIGHT),
+    ],
+)
+def test_evolve_fourier_matches_long_double_at_depth(params, coin, variant, t, bound):
+    """Every amplitude within the bound of the same formula in long double.
+
+    Measured: at most 2.1e-14 at t = 3000 and 1.6e-13 at t = 1e5, the
+    largest at (0.3, 2.9) swap-free.  Direct node calls and the real FFT
+    of the full even extension were off by up to 1.2e-13 and 1.3e-12.
+    """
+    got = evolve_fourier(coin, params, t, variant=variant).amps
+    ref = _long_double_amplitudes(coin, params, t, variant)
+    assert np.max(np.abs(got - ref)) <= bound
+
+
+@pytest.mark.parametrize("t", [1, 3, 37, 1100, 100_000])
+def test_node_table_matches_long_double(t):
+    """Each cos and sin of the table within 2e-16 of long double (1.6e-16
+    measured at t = 1e5; direct calls on the rounded angles give 5.6e-16)."""
+    m_count = _node_count(t)
+    got = _node_table(m_count, np.empty((2, m_count // 2 + 1)))
+    theta = (
+        2 * np.arccos(np.longdouble(-1)) * np.arange(m_count // 2 + 1) / m_count
+    )
+    for row, ref in zip(got, (np.cos(theta), np.sin(theta))):
+        assert np.max(np.abs(row - ref)) <= 2e-16
 
 
 @pytest.mark.parametrize("t", [1, 2, 5, 37, 1100, 4999])

@@ -265,6 +265,40 @@ def test_momentum_branch_derivative_matches_finite_difference():
         )
 
 
+def _branch_derivative_40_digits(x: float, params: WalkParams, sign: int) -> float:
+    """``-sign sqrt(eta_sign) / ((1 - x^2) sqrt(xi))`` at 40 digits, from the
+    radicand's defining sum, with ``rho0 = sqrt(1 - rho^2)``."""
+    with mpmath.workdps(40):
+        rho, nu, x = mpmath.mpf(params.rho), mpmath.mpf(params.nu), mpmath.mpf(x)
+        rho0 = mpmath.sqrt(1 - rho**2)
+        p, sv, cv = rho * rho0, mpmath.sin(nu), mpmath.cos(nu)
+        xi = (rho**2 - x**2) * (rho0**2 - x**2) - (p * cv * x) ** 2
+        eta = (
+            1 - p**2 * (1 + sv**2) - (1 - (p * cv) ** 2) * x**2
+            + 2 * sign * p * sv * mpmath.sqrt(xi)
+        )
+        return float(-sign * mpmath.sqrt(eta) / ((1 - x**2) * mpmath.sqrt(xi)))
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-5, 1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("nu_sign", [1, -1])
+def test_momentum_branch_derivative_next_to_the_special_set(d, nu_sign):
+    """Both branches within 1e-12 relative of 40 digits at x = 0.05..0.95 h*.
+
+    The radicand of the sign opposite to sin(nu) is of order d**2 there.
+    Formed by cancellation it was off by 7.6e-11, 4.6e-7 and 1.2e-2
+    relative at d = 1e-3, 1e-5 and 1e-7; as the product over the large
+    one, by at most 2.2e-15.
+    """
+    for d_rho, d_nu in ((0.6, 0.8), (-0.6, -0.8), (1.0, 0.0), (0.0, 1.0)):
+        params = WalkParams(SQ2 + d_rho * d, nu_sign * (math.pi / 2 + d_nu * d))
+        xs = np.linspace(0.05, 0.95, 19) * support_halfwidth(params)
+        for sign in (1, -1):
+            got = momentum_branch_derivative(xs, params, sign)
+            ref = np.array([_branch_derivative_40_digits(x, params, sign) for x in xs])
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
 @pytest.mark.parametrize("params", PARAM_POINTS)
 def test_momentum_branches_invert_group_velocity(params):
     hstar = support_halfwidth(params)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 from conftest import SQ2
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwalk import CoinSpinor, WalkParams, evolve, evolve_fourier, make_limit_law
@@ -67,8 +67,20 @@ def test_cdf_is_monotone_from_zero_to_one(law):
     assert abs(law.cdf(hi) - 1.0) <= 1e-9
 
 
+def _theorem1_next_to_special_set(d: float, nu_sign: int):
+    """theorem1 law at distance ``d`` from ``(1/sqrt(2), nu_sign*pi/2)``."""
+    params = WalkParams(SQ2 + 0.6 * d, nu_sign * (0.5 * math.pi + 0.8 * d))
+    return make_limit_law("theorem1", params, CoinSpinor(0.6, 0.8j))
+
+
 @PROPERTY_SETTINGS
 @given(limit_laws())
+@example(_theorem1_next_to_special_set(1e-12, 1))
+@example(_theorem1_next_to_special_set(1e-12, -1))
+@example(_theorem1_next_to_special_set(1e-9, 1))
+@example(_theorem1_next_to_special_set(1e-9, -1))
+@example(_theorem1_next_to_special_set(1e-6, 1))
+@example(_theorem1_next_to_special_set(1e-6, -1))
 def test_unit_mass_in_moments_and_table(law):
     assert abs(law.moment(0) - 1.0) <= 1e-9
     assert abs(law._cdf_table[1][-1] - 1.0) <= 1e-9
