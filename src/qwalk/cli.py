@@ -26,7 +26,11 @@ written one rendered block at a time, never whole in memory.
 Angles accept raw radians or exact tokens like ``pi/2``, ``-pi/4``,
 ``3pi/4``, also as a separate argument (``--nu -pi/4``).  Complex coin
 amplitudes are written ``re,im``.  A flat ``key=value`` config file can
-supply any flag; explicit flags win; a key that no command takes is refused.
+supply any flag; explicit flags win.  A command reads only its own
+options, so a key of another command is ignored whatever its value, and
+a key that no command takes is refused.  Each value is checked once, by
+the code that uses it, so a bad value is refused alike from a flag or a
+file; ``--help`` names the accepted values.
 
 Exit codes: 0 success, 2 invalid parameters, 1 I/O failure.
 """
@@ -40,7 +44,6 @@ import math
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,23 +98,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully parsed invocation; the variant and the law kind are checked
-    by the library calls that use them."""
-
-    command: str
-    output: Path
-    format: str
-    params: WalkParams | None = None
-    coin: CoinSpinor | None = None
-    t: int = 0
-    variant: str = VARIANTS[0]
-    law: str = "theorem1"
-    n: int = 0
-    grid: tuple[float, float, int, float, float, int] | None = None
-
-
 def _read_config_file(path: str) -> dict[str, str]:
     data: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
@@ -125,16 +111,36 @@ def _read_config_file(path: str) -> dict[str, str]:
     return data
 
 
+# Each long option and its help; a config file may set any of them but
+# ``config``.  ``--help`` names the accepted values; each value is
+# checked once, where it is used, so a flag and a config line are
+# refused alike.
+_OPTION_HELP = {
+    "rho": "reflection weight in (0,1)",
+    "nu": "phase angle (radians or pi-token like pi/2)",
+    "alpha": "coin amplitude a0 as re,im (default 1,0)",
+    "beta": "coin amplitude a1 as re,im (default 0,0)",
+    "t": "number of steps",
+    "variant": f"walk variant: {' or '.join(VARIANTS)} (default {VARIANTS[0]})",
+    "law": f"limit law: {', '.join(LAW_KINDS)} (default theorem1)",
+    "n": "branch index of the standard law",
+    "grid": "rho_min,rho_max,rho_steps,nu_min,nu_max,nu_steps (angles may use pi-tokens)",
+    "config": "flat key=value file; flags override it",
+    "out": "output file path",
+    "format": "csv (default) or json",
+}
+_OPTION_KEYS = tuple(key for key in _OPTION_HELP if key != "config")
+
+
 def _merged_options(args: argparse.Namespace) -> dict[str, str]:
-    keys = ("rho", "nu", "alpha", "beta", "t", "variant", "law", "n", "grid",
-            "out", "format")
+    """The config file's values, if any, overridden by the flags given."""
     merged: dict[str, str] = {}
     if args.config:
         merged.update(_read_config_file(args.config))
     for key in merged:
-        if key not in keys:
+        if key not in _OPTION_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    for key in keys:
+    for key in _OPTION_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -175,22 +181,8 @@ def _parse_grid(text: str) -> tuple[float, float, int, float, float, int]:
     return (rho_min, rho_max, rho_steps, nu_min, nu_max, nu_steps)
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    options = _merged_options(args)
-    command = args.command
-    output = Path(_require(options, "out"))
-    fmt = options.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-
-    if command == "sweep":
-        return RunConfig(
-            command=command,
-            output=output,
-            format=fmt,
-            grid=_parse_grid(_require(options, "grid")),
-        )
-
+def _walk(options: dict[str, str]) -> tuple[WalkParams, CoinSpinor]:
+    """The walk parameters and initial coin of ``options``."""
     params = WalkParams(
         rho=float(_require(options, "rho")),
         nu=parse_angle(_require(options, "nu")),
@@ -199,45 +191,72 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         a0=parse_complex(options.get("alpha", "1,0")),
         a1=parse_complex(options.get("beta", "0,0")),
     )
-
-    t = 0
-    if command in ("simulate", "compare"):
-        t = int(_require(options, "t"))
-
-    return RunConfig(
-        command=command,
-        output=output,
-        format=fmt,
-        params=params,
-        coin=coin,
-        t=t,
-        variant=options.get("variant", VARIANTS[0]),
-        law=options.get("law", "theorem1"),
-        n=int(options.get("n", "0")),
-    )
+    return params, coin
 
 
 # A file's ASCII text, as bytes and uint8 arrays in order.
 Chunks = Iterator[bytes | np.ndarray]
 
 
-def _csv_text(columns: dict[str, np.ndarray], meta: list[str] | None = None) -> Chunks:
-    """``# key,value`` metadata lines, the header, then one line per entry
-    of the parallel ``columns``, floats as ``%.17g``."""
-    lines = [f"# {key_value}" for key_value in meta] if meta else []
+def _csv_text(columns: dict[str, np.ndarray], meta: dict) -> Chunks:
+    """A ``# key,value`` line per entry of ``meta`` (one per moment error),
+    the header, then one line per entry of the parallel ``columns``,
+    floats as ``%.17g``."""
+    lines = []
+    for key, value in meta.items():
+        if key == "moment_errors":
+            lines += [f"# moment_error_r{e['r']},{_fmt(e['error'])}" for e in value]
+        else:
+            text = _fmt(value) if isinstance(value, float) else value
+            lines.append(f"# {key},{text}")
     lines.append(",".join(columns))
     yield ("\n".join(lines) + "\n").encode()
     pieces = ["", *[","] * (len(columns) - 1), "\n"]
     yield from render_rows(pieces, list(columns.values()), shortest=False)
 
 
-def cmd_simulate(cfg: RunConfig) -> Chunks:
+def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> Chunks:
+    """``payload`` plus a ``"rows"`` list of ``{name: value}`` objects, one
+    per entry of the parallel ``columns``, as ``json.dumps(..., indent=2)``
+    writes it."""
+    body = {"schema_version": SCHEMA_VERSION, **payload}
+    head = json.dumps(body, indent=2)[: -len("\n}")]
+    # Each row starts with the comma that separates it from the one
+    # before; the first row's is dropped.
+    names = [json.dumps(name) for name in columns]
+    pieces = [f",\n    {{\n      {names[0]}: "]
+    pieces += [f",\n      {name}: " for name in names[1:]]
+    pieces.append("\n    }")
+    blocks = render_rows(pieces, list(columns.values()), shortest=True)
+    first = next(blocks, None)
+    if first is None:
+        yield f'{head},\n  "rows": []\n}}\n'.encode()
+        return
+    yield f'{head},\n  "rows": ['.encode()
+    yield first[1:]
+    yield from blocks
+    yield b"\n  ]\n}\n"
+
+
+def _table(
+    fmt: str, payload: dict, columns: dict[str, np.ndarray], meta: bool = False
+) -> Chunks:
+    """The file of ``columns`` in format ``fmt``: JSON rows after
+    ``payload``, or CSV rows, after ``payload``'s lines if ``meta``."""
+    if fmt == "json":
+        return _json_text(payload, columns)
+    return _csv_text(columns, payload if meta else {})
+
+
+def cmd_simulate(options: dict[str, str], fmt: str) -> Chunks:
     """Exact distribution and amplitudes after t steps, one row per site.
 
     Evolved by :func:`~qwalk.fourier.evolve_fourier`; the rows cover
     ``[-t, t]``.
     """
-    state = evolve_fourier(cfg.coin, cfg.params, cfg.t, variant=cfg.variant)
+    params, coin = _walk(options)
+    t = int(_require(options, "t"))
+    state = evolve_fourier(coin, params, t, variant=options.get("variant", VARIANTS[0]))
     amps = state.amps
     columns = {
         "x": state.positions(),
@@ -247,32 +266,21 @@ def cmd_simulate(cfg: RunConfig) -> Chunks:
         "amp1_re": amps[:, 1].real,
         "amp1_im": amps[:, 1].imag,
     }
-    if cfg.format == "json":
-        return _json_text({"command": "simulate"}, columns)
-    return _csv_text(columns)
+    return _table(fmt, {"command": "simulate"}, columns)
 
 
-def cmd_density(cfg: RunConfig) -> Chunks:
+def cmd_density(options: dict[str, str], fmt: str) -> Chunks:
     """Limit density on a 2001-point grid padded 5% beyond the support."""
-    law = make_limit_law(cfg.law, cfg.params, cfg.coin, n=cfg.n)
+    params, coin = _walk(options)
+    law = make_limit_law(
+        options.get("law", "theorem1"), params, coin, n=int(options.get("n", "0"))
+    )
     xs = np.linspace(
         -_DENSITY_GRID_PAD * law.support_hi,
         _DENSITY_GRID_PAD * law.support_hi,
         _DENSITY_GRID_POINTS,
     )
-    columns = {"x": xs, "density": law.density(xs)}
-    if cfg.format == "json":
-        return _json_text({"command": "density"}, columns)
-    return _csv_text(columns)
-
-
-def report_to_dict(report: ComparisonReport) -> dict:
-    """JSON-ready dictionary of a comparison report."""
-    body = _report_header(report)
-    columns = _report_columns(report)
-    rows = zip(*(c.tolist() for c in columns.values()))
-    body["rows"] = [dict(zip(columns, row)) for row in rows]
-    return body
+    return _table(fmt, {"command": "density"}, {"x": xs, "density": law.density(xs)})
 
 
 def _report_header(report: ComparisonReport) -> dict:
@@ -299,6 +307,13 @@ def _report_columns(report: ComparisonReport) -> dict[str, np.ndarray]:
     }
 
 
+def report_to_dict(report: ComparisonReport) -> dict:
+    """JSON-ready dictionary of a comparison report: the parsed text of
+    the JSON file that ``compare`` writes."""
+    text = _json_text(_report_header(report), _report_columns(report))
+    return json.loads(b"".join(text))
+
+
 def report_from_dict(data: dict) -> ComparisonReport:
     """Rebuild a comparison report from its JSON dictionary."""
     if data.get("schema_version") != SCHEMA_VERSION:
@@ -320,37 +335,25 @@ def report_from_dict(data: dict) -> ComparisonReport:
     )
 
 
-def cmd_compare(cfg: RunConfig) -> Chunks:
+def cmd_compare(options: dict[str, str], fmt: str) -> Chunks:
     """Comparison report: metadata block plus per-site rows."""
+    params, coin = _walk(options)
     report = run_comparison(
-        cfg.params,
-        cfg.coin,
-        cfg.t,
-        variant=cfg.variant,
-        law_kind=cfg.law,
-        n=cfg.n,
+        params,
+        coin,
+        int(_require(options, "t")),
+        variant=options.get("variant", VARIANTS[0]),
+        law_kind=options.get("law", "theorem1"),
+        n=int(options.get("n", "0")),
     )
-    columns = _report_columns(report)
-    if cfg.format == "json":
-        return _json_text(_report_header(report), columns)
-    meta = [
-        f"schema_version,{SCHEMA_VERSION}",
-        "command,compare",
-        f"t,{report.t}",
-        f"variant,{report.variant}",
-        f"law,{report.law_kind}",
-        f"smoothing_width,{report.smoothing_width}",
-        f"ks_distance,{_fmt(report.ks_distance)}",
-    ]
-    meta.extend(
-        f"moment_error_r{r},{_fmt(e)}" for r, e in report.moment_errors
-    )
-    return _csv_text(columns, meta=meta)
+    return _table(fmt, _report_header(report), _report_columns(report), meta=True)
 
 
-def cmd_sweep(cfg: RunConfig) -> Chunks:
+def cmd_sweep(options: dict[str, str], fmt: str) -> Chunks:
     """Support half-width over the (rho, nu) grid, rho-major row order."""
-    rho_min, rho_max, rho_steps, nu_min, nu_max, nu_steps = cfg.grid
+    rho_min, rho_max, rho_steps, nu_min, nu_max, nu_steps = _parse_grid(
+        _require(options, "grid")
+    )
     rhos, nus = np.meshgrid(
         np.linspace(rho_min, rho_max, rho_steps),
         np.linspace(nu_min, nu_max, nu_steps),
@@ -363,39 +366,23 @@ def cmd_sweep(cfg: RunConfig) -> Chunks:
             for rho, nu in zip(columns["rho"].tolist(), columns["nu"].tolist())
         ]
     )
-    if cfg.format == "json":
-        return _json_text({"command": "sweep"}, columns)
-    return _csv_text(columns)
+    return _table(fmt, {"command": "sweep"}, columns)
 
 
-def _json_text(payload: dict, columns: dict[str, np.ndarray]) -> Chunks:
-    """``payload`` plus a ``"rows"`` list of ``{name: value}`` objects, one
-    per entry of the parallel ``columns``, as ``json.dumps(..., indent=2)``
-    writes it."""
-    body = {"schema_version": SCHEMA_VERSION, **payload}
-    head = json.dumps(body, indent=2)[: -len("\n}")]
-    # Each row starts with the comma that separates it from the one
-    # before; the first row's is dropped.
-    names = [json.dumps(name) for name in columns]
-    pieces = [f",\n    {{\n      {names[0]}: "]
-    pieces += [f",\n      {name}: " for name in names[1:]]
-    pieces.append("\n    }")
-    blocks = render_rows(pieces, list(columns.values()), shortest=True)
-    first = next(blocks, None)
-    if first is None:
-        yield f'{head},\n  "rows": []\n}}\n'.encode()
-        return
-    yield f'{head},\n  "rows": ['.encode()
-    yield first[1:]
-    yield from blocks
-    yield b"\n  ]\n}\n"
-
-
+_WALK_KEYS = ("rho", "nu", "alpha", "beta")
+# Each command, its summary, and the options it reads besides config,
+# out and format.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "density": cmd_density,
-    "compare": cmd_compare,
-    "sweep": cmd_sweep,
+    "simulate": (
+        cmd_simulate, "exact finite-time distribution", (*_WALK_KEYS, "t", "variant")
+    ),
+    "density": (cmd_density, "limit density on a grid", (*_WALK_KEYS, "law", "n")),
+    "compare": (
+        cmd_compare,
+        "simulation vs limit law report",
+        (*_WALK_KEYS, "t", "variant", "law", "n"),
+    ),
+    "sweep": (cmd_sweep, "support half-width over a parameter grid", ("grid",)),
 }
 
 
@@ -407,45 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Five-diagonal unitary walk: simulation, limit laws, comparisons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value file; flags override it")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), dest="format")
-
-    def add_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rho", help="reflection weight in (0,1)")
-        p.add_argument("--nu", help="phase angle (radians or pi-token like pi/2)")
-        p.add_argument("--alpha", help="coin amplitude a0 as re,im (default 1,0)")
-        p.add_argument("--beta", help="coin amplitude a1 as re,im (default 0,0)")
-
-    p_sim = sub.add_parser("simulate", help="exact finite-time distribution")
-    add_params(p_sim)
-    p_sim.add_argument("--t", help="number of steps")
-    p_sim.add_argument("--variant", choices=VARIANTS)
-    add_common(p_sim)
-
-    p_den = sub.add_parser("density", help="limit density on a grid")
-    add_params(p_den)
-    p_den.add_argument("--law", choices=LAW_KINDS)
-    p_den.add_argument("--n", help="branch index of the standard law")
-    add_common(p_den)
-
-    p_cmp = sub.add_parser("compare", help="simulation vs limit law report")
-    add_params(p_cmp)
-    p_cmp.add_argument("--t", help="number of steps")
-    p_cmp.add_argument("--variant", choices=VARIANTS)
-    p_cmp.add_argument("--law", choices=LAW_KINDS)
-    p_cmp.add_argument("--n", help="branch index of the standard law")
-    add_common(p_cmp)
-
-    p_swp = sub.add_parser("sweep", help="support half-width over a parameter grid")
-    p_swp.add_argument(
-        "--grid",
-        help="rho_min,rho_max,rho_steps,nu_min,nu_max,nu_steps (angles may use pi-tokens)",
-    )
-    add_common(p_swp)
-
+    for name, (_, summary, keys) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for key in (*keys, "config", "out", "format"):
+            command.add_argument(f"--{key}", help=_OPTION_HELP[key])
     return parser
 
 
@@ -481,11 +433,18 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return 0 on success, 2 on invalid parameters and
+    1 on an I/O failure.  A refused command writes no file."""
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_join_dash_values(argv))
     try:
-        cfg = _make_config(args)
+        options = _merged_options(args)
+        output = Path(_require(options, "out"))
+        fmt = options.get("format", "csv")
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
+        chunks = _COMMANDS[args.command][0](options, fmt)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -493,15 +452,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        chunks = _COMMANDS[cfg.command](cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with cfg.output.open("wb") as out:
+        with output.open("wb") as out:
             out.writelines(chunks)
     except OSError as exc:
-        print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {output}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -223,18 +223,36 @@ def support_halfwidth(params: WalkParams) -> float:
     return 2.0 * p / (hi + lo)
 
 
-def _branch_argument(x, params: WalkParams, sign: int) -> np.ndarray:
-    """``x`` as a float array, once ``sign`` is +-1 and every ``|x| < h*``."""
+def _branch_parts(x, params: WalkParams, sign: int):
+    """``x`` as a float array, ``sqrt(xi)`` and the radicand ``eta_sign``,
+    both nonnegative, once ``sign`` is +-1 and every ``|x| < h*``.
+
+    The radicand of the sign opposite to sin(nu) is the small one, and
+    vanishes on the special set: it is the product over the large one.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x_arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(x_arr) >= support_halfwidth(params)):
+    h = support_halfwidth(params)
+    if (np.abs(x_arr) >= h).any():
         raise OutOfSupportError("argument outside the open support interval")
-    return x_arr
+    root = np.sqrt(np.maximum(support_polynomial(x_arr, params), 0.0))
+    big_sign = 1 if math.sin(params.nu) >= 0.0 else -1
+    eta = _radicand_given_root(np.square(x_arr), root, params, big_sign)
+    if sign != big_sign:
+        chord_sq = (h - x_arr) * (h + x_arr)
+        eta = _radicand_parts(params, h, chord_sq)[2] / eta
+    return x_arr, root, np.maximum(eta, 0.0)
 
 
 def momentum_branch(x, params: WalkParams, sign: int):
-    """Inverse branch ``k_sign(x)`` of the group velocity, principal arcsin.
+    """Inverse branch ``k_sign(x)`` of the group velocity, in ``[-pi/2, pi/2]``.
+
+    ``sin k = (sign sqrt(xi) - p sin(nu) x^2) / (p (1 - x^2))`` and ``cos k
+    = |x| sqrt(eta_sign) / (p (1 - x^2))``, ``p = rho rho0``, so ``k`` is
+    the ``arctan2`` of the two numerators.  It keeps its digits where
+    ``k`` nears ``+-pi/2`` (small ``x``, and next to the special set),
+    where the arcsin of the first would lose them.
 
     Defined for ``|x| < h*``; both branches are even functions of ``x``
     and parameterize the positive velocity ``|x|``, so the identities
@@ -246,12 +264,10 @@ def momentum_branch(x, params: WalkParams, sign: int):
     OutOfSupportError
         If any ``|x| >= h*``.
     """
-    x_arr = _branch_argument(x, params, sign)
+    x_arr, root, eta = _branch_parts(x, params, sign)
     p = params.rho * params.rho0
-    sv = math.sin(params.nu)
-    xi = support_polynomial(x_arr, params)
-    num = -p * sv * np.square(x_arr) + sign * np.sqrt(np.maximum(xi, 0.0))
-    out = np.arcsin(np.clip(num / (p * (1.0 - np.square(x_arr))), -1.0, 1.0))
+    num = sign * root - p * math.sin(params.nu) * np.square(x_arr)
+    out = np.arctan2(num, np.abs(x_arr) * np.sqrt(eta))
     return _like_input(x, out)
 
 
@@ -261,19 +277,8 @@ def momentum_branch_derivative(x, params: WalkParams, sign: int):
     Matches the derivative of :func:`momentum_branch` on the positive
     half of the support (see there for the even-function convention).
     """
-    x_arr = _branch_argument(x, params, sign)
-    xi = np.maximum(support_polynomial(x_arr, params), 0.0)
-    # The radicand of the sign opposite to sin(nu) is the small one, and
-    # vanishes on the special set: it is the product over the large one.
-    big_sign = 1 if math.sin(params.nu) >= 0.0 else -1
-    eta = _radicand_given_root(np.square(x_arr), np.sqrt(xi), params, big_sign)
-    if sign != big_sign:
-        h = support_halfwidth(params)
-        chord_sq = (h - np.abs(x_arr)) * (h + np.abs(x_arr))
-        eta = _radicand_parts(params, h, chord_sq)[2] / eta
-    out = -sign * np.sqrt(np.maximum(eta, 0.0)) / (
-        (1.0 - np.square(x_arr)) * np.sqrt(xi)
-    )
+    x_arr, root, eta = _branch_parts(x, params, sign)
+    out = -sign * np.sqrt(eta) / ((1.0 - np.square(x_arr)) * root)
     return _like_input(x, out)
 
 

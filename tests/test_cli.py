@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -27,6 +28,8 @@ from qwalk import (
     support_halfwidth,
 )
 from qwalk.cli import (
+    _OPTION_KEYS,
+    _build_parser,
     _json_text,
     main,
     parse_angle,
@@ -747,6 +750,15 @@ def test_law_variant_mismatch_exits_2(tmp_path):
     assert rc == 2
 
 
+# A config file each command runs from, before the line under test.
+BASE_CONFIG = {
+    "simulate": "rho=0.6\nnu=1.0\nt=10",
+    "compare": "rho=0.6\nnu=1.0\nt=10",
+    "density": "rho=0.6\nnu=1.0",
+    "sweep": "grid=0.2,0.8,3,0,pi,4",
+}
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -755,16 +767,39 @@ def test_law_variant_mismatch_exits_2(tmp_path):
         ("compare", "law=bogus"),
         ("compare", "law=cmv_only"),
         ("density", "law=bogus"),
+        ("simulate", "format=xml"),
+        ("sweep", "format=xml"),
     ],
 )
 def test_bad_variant_or_law_from_config_exits_2(tmp_path, capsys, command, line):
-    """A config file bypasses argparse's ``choices``; the library refuses."""
+    """A bad value is refused once and alike as a flag and as a config
+    line: ``main`` returns 2 (no ``SystemExit``), writes no file and names
+    the value."""
+    key, _, value = line.partition("=")
     out = tmp_path / "never.csv"
+    base = BASE_CONFIG[command]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"rho=0.6\nnu=1.0\nt=10\n{line}\nout={out}\n")
-    assert run_cli(command, "--config", cfg) == 2
-    assert not out.exists()
-    assert line.partition("=")[2] in capsys.readouterr().err
+    cfg.write_text(f"{base}\nout={out}\n")
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(f"{base}\n{line}\nout={out}\n")
+    for argv in (["--config", cfg, f"--{key}", value], ["--config", bad_cfg]):
+        assert run_cli(command, *argv) == 2
+        assert not out.exists()
+        assert value in capsys.readouterr().err
+
+
+def test_config_keys_are_the_parsers_long_options():
+    """A config file can set every flag of every command but --config."""
+    actions = _build_parser()._actions
+    (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        option[2:]
+        for command in commands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option not in ("--config", "--help")
+    }
+    assert sorted(_OPTION_KEYS) == sorted(flags)
 
 
 def test_unknown_config_key_exits_2_without_output(tmp_path, capsys):
@@ -777,12 +812,29 @@ def test_unknown_config_key_exits_2_without_output(tmp_path, capsys):
     assert "varient" in capsys.readouterr().err
 
 
-def test_config_key_of_another_command_is_ignored(tmp_path):
-    out = tmp_path / "sim.csv"
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("simulate", "law=theorem1"),
+        ("simulate", "n=x"),
+        ("simulate", "grid=bad"),
+        ("density", "t=abc"),
+        ("density", "variant=sideways"),
+        ("sweep", "rho=abc"),
+    ],
+)
+def test_config_key_of_another_command_is_ignored(tmp_path, command, line):
+    """Whatever its value: a command reads only its own options."""
+    base = BASE_CONFIG[command]
+    plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"rho=0.6\nnu=1.0\nt=10\nlaw=theorem1\nout={out}\n")
-    assert run_cli("simulate", "--config", cfg) == 0
-    assert len(out.read_text().splitlines()) == 1 + 21
+    cfg.write_text(f"{base}\nout={plain}\n")
+    assert run_cli(command, "--config", cfg) == 0
+    cfg.write_text(f"{base}\n{line}\nout={extra}\n")
+    assert run_cli(command, "--config", cfg) == 0
+    assert extra.read_bytes() == plain.read_bytes()
+    if command == "simulate":
+        assert len(plain.read_text().splitlines()) == 1 + 21
 
 
 def test_standard_law_off_special_exits_2(tmp_path):

@@ -299,6 +299,41 @@ def test_momentum_branch_derivative_next_to_the_special_set(d, nu_sign):
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
+def _branch_50_digits(x: float, params: WalkParams, sign: int) -> float:
+    """``arcsin((sign sqrt(xi) - p sin(nu) x^2) / (p (1 - x^2)))`` at 50 digits."""
+    with mpmath.workdps(50):
+        rho, nu, x = mpmath.mpf(params.rho), mpmath.mpf(params.nu), mpmath.mpf(x)
+        rho0 = mpmath.sqrt(1 - rho**2)
+        p, sv, cv = rho * rho0, mpmath.sin(nu), mpmath.cos(nu)
+        xi = (rho**2 - x**2) * (rho0**2 - x**2) - (p * cv * x) ** 2
+        return float(mpmath.asin((sign * mpmath.sqrt(xi) - p * sv * x**2) / (p * (1 - x**2))))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        WalkParams(0.6, 0.7),
+        WalkParams(0.85, -1.3),
+        WalkParams(0.3, 2.6),
+        WalkParams(SQ2 + 1e-8, -math.pi / 2),
+        WalkParams(SQ2, -math.pi / 2 + 1e-8),
+    ],
+)
+def test_momentum_branch_near_zero_velocity_and_the_special_set(params):
+    """Both branches within 1e-15 of 50 digits at x = 1e-8 ... 0.99 h*.
+
+    Where ``k`` nears +-pi/2 the arcsin of its sine loses digits: it was
+    off by up to 1.1e-8 at x = 1e-8 h*, 2.3e-10 at 1e-6 h*, and 8e-9 at
+    0.5 h* 1e-8 from the special set; the arctan2 of sine and cosine
+    numerators is within 4.5e-16.
+    """
+    xs = np.array([1e-8, 1e-6, 1e-4, 0.5, 0.99]) * support_halfwidth(params)
+    for sign in (1, -1):
+        got = momentum_branch(xs, params, sign)
+        ref = np.array([_branch_50_digits(x, params, sign) for x in xs])
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+
 @pytest.mark.parametrize("params", PARAM_POINTS)
 def test_momentum_branches_invert_group_velocity(params):
     hstar = support_halfwidth(params)
