@@ -54,9 +54,9 @@ __all__ = [
 ]
 
 #: Largest step count evolve_fourier() accepts.  Its arrays grow with
-#: ``t`` and are built before any work starts: the engine peaks near 130
-#: MB RSS at t = 1e6 and 230 MB at t = 2e6 (``qwalk simulate`` near 175
-#: and 300 MB), so a larger cap could exhaust memory where a lattice run
+#: ``t`` and are built before any work starts: the engine peaks near 100
+#: MB RSS at t = 1e6 and 170 MB at t = 2e6 (``qwalk simulate`` near 145
+#: and 235 MB), so a larger cap could exhaust memory where a lattice run
 #: would only be slow.
 MAX_STEPS = 2_000_000
 
@@ -64,8 +64,10 @@ MAX_STEPS = 2_000_000
 # colliding: eigensystem() refuses.
 _GAP_SQ_TOL = 1e-14
 
-# Rows of the half basis per matmul into the reversed left half.
-_MATMUL_ROWS = 16384
+# Length of the pieces that the engine's Chebyshev stage, matmuls and
+# site phases, and the harness's scans, work through: long arrays are
+# never built whole, and each piece's temporaries stay near the cache.
+_PIECE = 16384
 
 # i**n for n mod 4; powers of 1j taken in floating point drift in phase.
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
@@ -415,11 +417,12 @@ def evolve_fourier(
     real FFTs of lengths ``M/2`` and ``M/4`` on the
     :func:`_node_table`; each site then combines them with the three
     harmonics of ``A v``.  At t = 1e5 this takes about 15 ms and
-    allocates at most 13 MB in all, 9.6 MB of which is one block that
-    ends in the 6.4 MB of amplitudes (full walk, one thread of a 2-vCPU
-    VM, numpy 2.4); a call peaks about 10 MB RSS above the process
-    before it.  The amplitudes are a view into that block, so a state
-    that is kept holds all of it, ``12t + 8`` floats.
+    allocates at most 7.2 MB in all, 6.5 MB of which is one block of
+    ``4M + 4`` floats whose first ``8t + 4`` are the amplitudes; every
+    other array is a piece of at most 16384 rows (full walk, one thread
+    of a 2-vCPU VM, numpy 2.4).  A call peaks about 7 MB RSS above the
+    process before it.  The amplitudes are a view into that block, so a
+    state that is kept holds only them and the few floats past them.
 
     Returns a :class:`~qwalk.walk.WaveState` on the window ``[-t, t]``
     whose distribution matches lattice evolution within 1e-12 in total
@@ -452,27 +455,24 @@ def evolve_fourier(
     # One block holds every large array, the result included: with two
     # large blocks of about the same size a call's heap outgrows twice the
     # larger one, and glibc then trims the heap after each call and the
-    # next call faults it back in.  Regions, in floats: [0, 2M) is the
-    # DCT's scratch, [2M, 3M + 2) the Chebyshev rows and then, in place,
-    # their DCT, and [3M + 2, 4M + 4) the node table.  [0, 4t + 4), clear
-    # of the DCT as 2M >= 4t + 6, then takes the half basis and after it
-    # the site phases, and the rest of the block the amplitudes, which the
-    # result keeps as a view.
-    block = np.empty(max(12 * t + 8, 4 * m_count + 4))
-    coef = block[2 * m_count : 3 * m_count + 2].reshape(2, half_m + 1)
-    nodes = block[3 * m_count + 2 : 4 * m_count + 4].reshape(2, half_m + 1)
-    cos_th, sin_th = _node_table(m_count, out=nodes)
+    # next call faults it back in.  Regions, in floats: [0, M + 2) holds
+    # the Chebyshev rows and then, in place, their DCT, [M + 2, 2M + 4) the
+    # node table and [2M + 4, 7M/2 + 8) the DCT's scratch.  The amplitudes,
+    # 4 floats a site, then take [0, 8t + 4), which fits as M >= 2t + 3:
+    # the basis row of |x| = j goes where site x = j's amplitudes will be,
+    # at [4t, 8t + 4), the left half is written below it over the dead
+    # coefficients, and the right half replaces its basis rows in place.
+    # The result keeps the block as its base.
+    block = np.empty(4 * m_count + 4)
+    coef = block[: m_count + 2].reshape(2, half_m + 1)
+    nodes = block[m_count + 2 : 2 * m_count + 4].reshape(2, half_m + 1)
+    _node_table(m_count, out=nodes)
     phi = coin.as_array()
     half = cmath.exp(0.5j * params.nu)
     rr0 = params.rho * params.rho0
     rho2, rho02 = params.rho**2, params.rho0**2
 
     if full_walk:
-        # At k = pi/2 - theta, sin k = cos theta, and the coefficient of
-        # U at site x is 1j**x times its DCT value at |x|, over M.
-        s, gap_sq = _gap_parts(sin_th, cos_th, params)
-        _chebyshev_pair(s, np.sqrt(gap_sq, out=gap_sq), t, out=coef)
-        del s, gap_sq
         v0, v1 = half * phi[0], half.conjugate() * phi[1]
         eiv = cmath.exp(1j * params.nu)
         # Rows: A v = a + b exp(-1j*k) + c exp(1j*k) read off
@@ -495,9 +495,6 @@ def evolve_fourier(
         # The swap-free multiplier is R(nu/2) G(k) R(-nu/2) with
         # G = [[rho0**2 e - rho**2, -rr0 (e + 1)],
         #      [rr0 (conj(e) + 1), rho0**2 conj(e) - rho**2]], e = exp(-1j*k).
-        tau, sin_ang = _swap_free_gap(cos_th, sin_th, params)
-        _chebyshev_pair(tau, sin_ang, t, out=coef)
-        del tau, sin_ang
         v0, v1 = half.conjugate() * phi[0], half * phi[1]
         weights = np.array(
             [
@@ -508,42 +505,69 @@ def evolve_fourier(
             ]
         ) * np.array([half, half.conjugate()])
 
-    _split_dct1(coef, nodes, block[: 2 * m_count])
+    for lo in range(0, half_m + 1, _PIECE):
+        cos_th, sin_th = nodes[:, lo : lo + _PIECE]
+        if full_walk:
+            # At k = pi/2 - theta, sin k = cos theta, and the coefficient
+            # of U at site x is 1j**x times its DCT value at |x|, over M.
+            cos_d, sin_d = _gap_parts(sin_th, cos_th, params)
+            np.sqrt(sin_d, out=sin_d)
+        else:
+            cos_d, sin_d = _swap_free_gap(cos_th, sin_th, params)
+        _chebyshev_pair(cos_d, sin_d, t, out=coef[:, lo : lo + _PIECE])
+    _split_dct1(coef, nodes, block[2 * m_count + 4 :])
     # Sites x and -x both take U_t at |x|, |x| - 1 and |x| + 1 (U_t[1] for
     # both neighbours of x = 0) and U_(t-1) at |x|; only the two
     # neighbours swap sides.  So one basis over |x| = 0..t serves both
-    # halves, the left one with weight rows 1 and 2 swapped.
+    # halves, the left one with weight rows 1 and 2 swapped.  U_(t-1)
+    # goes first: at t = 1 the basis covers the start of its row, while
+    # the first t + 2 values of U_t always lie below the basis.
     u_t, u_prev = coef
-    basis = block[: 4 * (t + 1)].reshape(t + 1, 4)
+    row_parts = block[: 4 * n_sites].reshape(n_sites, 4)
+    basis = row_parts[t:]
+    basis[:, 3] = u_prev[: t + 1]
     basis[:, 0] = u_t[: t + 1]
     basis[0, 1] = u_t[1]
     basis[1:, 1] = u_t[:t]
     basis[:, 2] = u_t[1 : t + 2]
-    basis[:, 3] = u_prev[: t + 1]
     weights /= m_count
     weights = weights.view(np.float64)
-    row_parts = block[4 * (t + 1) : 12 * t + 8].reshape(n_sites, 4)
-    rows = row_parts.view(np.complex128)
-    np.matmul(basis, weights, out=row_parts[t:])
-    # The left half runs backwards, and matmul copies a reversed operand
-    # whole (64 MB at MAX_STEPS) unless it comes in cache-sized pieces.
+    # Both halves go through the basis in pieces, the last up to one row
+    # longer, as matmul takes a single row through gemv, which rounds
+    # otherwise.  The left half runs backwards, and matmul copies a
+    # reversed operand whole (64 MB at MAX_STEPS) unless it comes in
+    # pieces; its first piece ends at x = 0, over basis row 0.  The right
+    # half then replaces its basis rows in place, matmul copying each
+    # piece, with x = 0 kept aside.
+    pieces = [
+        (lo, lo + _PIECE if lo + _PIECE < t else t + 1)
+        for lo in range(0, t, _PIECE)
+    ]
     left, swapped = row_parts[t::-1], weights[[0, 2, 1, 3]]
-    for lo in range(0, t + 1, _MATMUL_ROWS):
-        hi = lo + _MATMUL_ROWS
+    for lo, hi in pieces:
         np.matmul(basis[lo:hi], swapped, out=left[lo:hi])
+    centre = basis[0].copy()
+    for lo, hi in pieces:
+        np.matmul(basis[lo:hi], weights, out=basis[lo:hi])
+    basis[0] = centre
+    rows = row_parts.view(np.complex128)
     if full_walk:
         # Site x = i - t takes exp(1j*nu*x) * 1j**(i - 1).  With
         # i = q*width + r and width a multiple of 4 that is the block phase
         # exp(1j*nu*(q*width - t)) times the in-block phase
-        # exp(1j*nu*r) * 1j**(r - 1): about 2*sqrt(n) exponentials.  The
-        # site count is odd, so the last block is the one cut short.
+        # exp(1j*nu*r) * 1j**(r - 1): about 2*sqrt(n) exponentials, applied
+        # a piece of whole blocks at a time.  The site count is odd, so the
+        # last block is the one cut short.
         width = 4 * (math.isqrt(n_sites) // 4 + 1)
         r = np.arange(width)
         inner = _unit_phases(params.nu, r) * _QUARTER_TURNS[(r - 1) % 4]
         outer = _unit_phases(params.nu, np.arange(-t, t + 1, width))
-        cut = n_sites - width * (outer.size - 1)
-        phase = block[: 2 * n_sites].view(np.complex128)
-        np.multiply(outer[:-1, None], inner, out=phase[:-cut].reshape(-1, width))
-        np.multiply(outer[-1], inner[:cut], out=phase[-cut:])
-        rows *= phase[:, None]
+        count = _PIECE // width
+        phase = np.empty((count, width), dtype=np.complex128)
+        for q in range(0, outer.size, count):
+            block_phases = outer[q : q + count, None]
+            part = phase[: len(block_phases)]
+            np.multiply(block_phases, inner, out=part)
+            sites = rows[q * width : (q + count) * width]
+            sites *= part.reshape(-1)[: len(sites), None]
     return WaveState(time=t, x_min=-t, amps=rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import evolve_fourier
+from .fourier import _PIECE, evolve_fourier
 from .limitlaw import VARIANT_LAWS, LimitLaw, _moment_order, make_limit_law
 from .walk import VARIANTS, CoinSpinor, Distribution, WalkParams, distribution
 
@@ -75,16 +75,28 @@ def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
     With nonnegative masses the empirical CDF only steps up, so it is
     furthest above the monotone limit CDF at a site's right limit and
     furthest below at its left limit; both are scanned, against the
-    law's table of its own :meth:`~qwalk.limitlaw.LimitLaw.cdf`.
+    law's table of its own :meth:`~qwalk.limitlaw.LimitLaw.cdf`.  The
+    scan runs in pieces with a running sup, each piece's cumulative sum
+    seeded with the mass before it, so every value is the float a
+    cumulative sum over the whole window gives, and nothing of the
+    window's length is built.
     """
     if t < 1:
         raise ValueError("rescaling time must be at least 1")
     xs_grid, cdf_grid = law._cdf_table
-    gap = np.cumsum(dist.probs)
-    gap -= np.interp(dist.positions() / t, xs_grid, cdf_grid)
-    above = gap.max()
-    gap -= dist.probs
-    return float(max(above, -gap.min()))
+    mass, above, below = 0.0, -np.inf, np.inf
+    for lo in range(0, len(dist.probs), _PIECE):
+        probs = dist.probs[lo : lo + _PIECE]
+        gap = probs.copy()
+        gap[0] += mass
+        np.cumsum(gap, out=gap)
+        mass = gap[-1]
+        x_lo = dist.x_min + lo
+        gap -= np.interp(np.arange(x_lo, x_lo + len(gap)) / t, xs_grid, cdf_grid)
+        above = max(above, gap.max())
+        gap -= probs
+        below = min(below, gap.min())
+    return float(max(above, -below))
 
 
 def run_comparison(
@@ -120,7 +132,10 @@ def run_comparison(
         for r in moments
     )
     positions = dist.positions()
-    approx = law.density(positions / scale) / scale
+    approx = np.empty(len(positions))
+    for lo in range(0, len(positions), _PIECE):
+        sites = positions[lo : lo + _PIECE]
+        np.divide(law.density(sites / scale), scale, out=approx[lo : lo + _PIECE])
     return ComparisonReport(
         t=t,
         variant=variant,

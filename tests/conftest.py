@@ -6,7 +6,8 @@ from its four local factors.  They never touch the vectorised stepping
 code in ``qwalk.walk``, so agreement between the two is a genuine
 cross-check rather than a tautology.  The module also holds the
 reference functions that only the tests call (``phase_rotation``,
-``branch_radicand``, ``extremal_momentum``, ``envelope_deviation``), the
+``branch_radicand``, ``extremal_momentum``, ``envelope_deviation``,
+``whole_kolmogorov_distance``), the
 closed-form CDF that the ``cmv_only`` and ``standard`` laws are checked
 against, and the sub-panel CDF that every law's CDF is checked against.
 """
@@ -160,6 +161,20 @@ def envelope_deviation(report: ComparisonReport) -> float:
     kernel = np.full(width, 1.0 / width)
     smooth = np.convolve(report.simulated, kernel, mode="same")
     return float(np.mean(np.abs(report.approx - smooth)))
+
+
+def whole_kolmogorov_distance(dist, t: int, law) -> float:
+    """The Kolmogorov distance scanned over the whole window at once.
+
+    One cumulative sum and one interpolation over every site, against
+    which the package's scan in pieces must agree bit for bit.
+    """
+    xs_grid, cdf_grid = law._cdf_table
+    gap = np.cumsum(dist.probs)
+    gap -= np.interp(dist.positions() / t, xs_grid, cdf_grid)
+    above = gap.max()
+    gap -= dist.probs
+    return float(max(above, -gap.min()))
 
 
 def _idx(x: int, c: int, span: int) -> int:

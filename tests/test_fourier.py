@@ -34,8 +34,11 @@ from qwalk import (
     shifted_symbol,
 )
 from qwalk.fourier import (
+    _PIECE,
+    _QUARTER_TURNS,
     MAX_STEPS,
     _chebyshev_pair,
+    _gap_parts,
     _node_count,
     _node_table,
     _one_plus_minus,
@@ -295,25 +298,30 @@ def test_evolve_fourier_rejects_bad_arguments():
     ],
 )
 def test_evolve_fourier_matches_flushed_lattice_at_depth(params, coin, variant):
-    """At t = 3000 the engine and the flushed lattice agree to 1e-12 TV.
+    """At t = 1, 2, 3 and 3000 the engine and the flushed lattice agree
+    to 1e-12 TV.
 
     The special set and the swap-free walk each have momenta where the
     eigenvalue gap closes; the engine must keep its eigenvalue phases
     accurate next to them, since t multiplies any phase error.  The
     lattice flushes amplitudes below 1e-150 to zero, so none of its
-    floats is subnormal, and its window stays [-t, t].
+    floats is subnormal, and its window stays [-t, t].  For t <= 3 the
+    engine's basis overlaps its Chebyshev rows.  Step counts at
+    the engine's piece length are checked against its whole-array stages
+    (``test_engine_pieces_are_bit_identical_to_whole_arrays``): the
+    lattice takes minutes there.
     """
-    t = 3000
-    lattice = evolve(coin, params, t, variant=variant)
-    fourier = evolve_fourier(coin, params, t, variant=variant)
-    assert lattice.x_min == fourier.x_min == -t
-    assert lattice.amps.shape == fourier.amps.shape == (2 * t + 1, 2)
-    floats = np.abs(lattice.amps.view(np.float64))
-    assert not np.any((floats > 0.0) & (floats < np.finfo(np.float64).tiny))
-    tv = 0.5 * np.sum(
-        np.abs(distribution(lattice).probs - distribution(fourier).probs)
-    )
-    assert tv <= 1e-12
+    for t in (1, 2, 3, 3000):
+        lattice = evolve(coin, params, t, variant=variant)
+        fourier = evolve_fourier(coin, params, t, variant=variant)
+        assert lattice.x_min == fourier.x_min == -t
+        assert lattice.amps.shape == fourier.amps.shape == (2 * t + 1, 2)
+        floats = np.abs(lattice.amps.view(np.float64))
+        assert not np.any((floats > 0.0) & (floats < np.finfo(np.float64).tiny))
+        tv = 0.5 * np.sum(
+            np.abs(distribution(lattice).probs - distribution(fourier).probs)
+        )
+        assert tv <= 1e-12, t
 
 
 
@@ -412,18 +420,28 @@ def test_evolve_fourier_matches_lattice_at_every_small_t(variant, coin):
 
 
 def test_evolve_fourier_allocation_peak_at_depth():
-    """At t = 1e5 (full walk) the engine allocates at most 14 MB in all.
+    """At t = 1e5 the engine allocates at most its amplitudes and 1 MB.
 
-    One 9.6 MB block ends in the 6.4 MB result; the largest other arrays
-    are the 0.8 MB ones on the M/2 + 1 nodes.
+    Its one block holds the 6.4 MB of amplitudes and little more (4M + 4
+    floats, M >= 2t + 3); the Chebyshev stage, the matmuls and the site
+    phases work in pieces, whose arrays are each a small fraction of a MB.
     """
-    tracemalloc.start()
-    try:
-        evolve_fourier(COIN_GEN, WalkParams(0.6, 0.7), 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 14e6
+    for variant in ("full", "cmv_only"):
+        tracemalloc.start()
+        try:
+            state = evolve_fourier(COIN_GEN, WalkParams(0.6, 0.7), 100_000, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amps.nbytes + 1e6, variant
+
+
+def test_kept_state_holds_only_its_block():
+    """The amplitudes are a view of one block of 4M + 4 floats, nothing more."""
+    t = 100_000
+    for variant in ("full", "cmv_only"):
+        state = evolve_fourier(COIN_GEN, WalkParams(0.6, 0.7), t, variant)
+        assert state.amps.base.nbytes <= 8 * (4 * _node_count(t) + 4), variant
 
 
 def _site_weights(coin, params, variant):
@@ -475,19 +493,33 @@ def _full_basis(u_t, u_prev, t):
     return basis
 
 
-def _swap_free_full_basis(coin, params, t):
-    """Swap-free amplitudes with the per-site basis over all 2t + 1 sites.
+def _whole_array_amplitudes(coin, params, t, variant):
+    """Amplitudes with every stage over whole arrays.
 
-    A test-side copy of the site stage the half basis replaced, on the
-    engine's own nodes, Chebyshev rows and DCT.
+    A test-side copy of the engine's stages before they ran in pieces, on
+    its own nodes, Chebyshev rows and DCT: one Chebyshev call over all
+    nodes, the per-site basis over all 2t + 1 sites in one matmul and,
+    for the full walk, the site phases as one array.
     """
     m_count = _node_count(t)
     nodes = _node_table(m_count, np.empty((2, m_count // 2 + 1)))
-    tau, sin_ang = _swap_free_gap(*nodes, params)
-    coef = _chebyshev_pair(tau, sin_ang, t)
+    cos_th, sin_th = nodes
+    if variant == "full":
+        s, gap_sq = _gap_parts(sin_th, cos_th, params)
+        coef = _chebyshev_pair(s, np.sqrt(gap_sq), t)
+    else:
+        coef = _chebyshev_pair(*_swap_free_gap(cos_th, sin_th, params), t)
     _split_dct1(coef, nodes, np.empty(2 * m_count))
-    weights = _site_weights(coin, params, "cmv_only") / m_count
-    return (_full_basis(*coef, t) @ weights.view(np.float64)).view(np.complex128)
+    weights = _site_weights(coin, params, variant) / m_count
+    basis = _full_basis(*coef, t)
+    amps = (basis @ weights.view(np.float64)).view(np.complex128)
+    if variant == "full":
+        width = 4 * (math.isqrt(len(amps)) // 4 + 1)
+        r = np.arange(width)
+        inner = _unit_phases(params.nu, r) * _QUARTER_TURNS[(r - 1) % 4]
+        outer = _unit_phases(params.nu, np.arange(-t, t + 1, width))
+        amps *= (outer[:, None] * inner).reshape(-1)[: len(amps), None]
+    return amps
 
 
 def _long_double_amplitudes(coin, params, t, variant):
@@ -576,15 +608,45 @@ def test_node_table_matches_long_double(t):
         assert np.max(np.abs(row - ref)) <= 2e-16
 
 
-@pytest.mark.parametrize("t", [1, 2, 5, 37, 1100, 4999])
+# Step counts around the engine's piece length P: t + 1 basis rows that
+# fill one piece, one row more (the last piece takes it) and two more (a
+# second piece of two rows); 16382 leaves the Chebyshev stage a last
+# piece of one node; 3P + 5 spans several pieces of every stage.
+_PIECE_STEPS = [_PIECE - 1, _PIECE, _PIECE + 1, 16382, 3 * _PIECE + 5]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 37, 1100, 4999] + _PIECE_STEPS[:3])
 @pytest.mark.parametrize(
     "params, coin",
     [(WalkParams(0.5, 1.2), COIN_RIGHT), (PARAMS_CANONICAL, COIN_BAL)],
 )
 def test_swap_free_half_basis_is_bit_identical_to_full_basis(params, coin, t):
-    """Mirroring the basis moves no swap-free amplitude by a single bit."""
+    """Mirroring the basis and working in pieces moves no swap-free
+    amplitude by a single bit."""
     state = evolve_fourier(coin, params, t, variant="cmv_only")
-    assert np.array_equal(state.amps, _swap_free_full_basis(coin, params, t))
+    assert np.array_equal(
+        state.amps, _whole_array_amplitudes(coin, params, t, "cmv_only")
+    )
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 37, 1100] + _PIECE_STEPS)
+@pytest.mark.parametrize(
+    "params, coin, variant",
+    [
+        (WalkParams(0.6, 0.7), COIN_GEN, "full"),
+        (PARAMS_SPECIAL, COIN_BAL, "full"),
+        (WalkParams(0.3, 2.9), COIN_BAL, "cmv_only"),
+    ],
+)
+def test_engine_pieces_are_bit_identical_to_whole_arrays(params, coin, variant, t):
+    """The Chebyshev stage, the basis matmuls and the full walk's site
+    phases, each run a piece at a time, give every amplitude the bits of
+    the same stage over whole arrays; the special set has a node where
+    the gap closes."""
+    state = evolve_fourier(coin, params, t, variant=variant)
+    assert np.array_equal(
+        state.amps, _whole_array_amplitudes(coin, params, t, variant)
+    )
 
 
 @pytest.mark.parametrize("nu", [0.7, -1.3, math.pi / 2, 3 * math.pi / 2, 3.1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     PARAMS_CANONICAL,
     REGRESSION_GRID,
     envelope_deviation,
+    whole_kolmogorov_distance,
 )
 
 from qwalk import (
@@ -27,6 +29,7 @@ from qwalk import (
     run_comparison,
     support_halfwidth,
 )
+from qwalk.fourier import _PIECE
 
 
 def test_empirical_moment_zeroth_is_total_mass():
@@ -109,6 +112,44 @@ def test_kolmogorov_distance_is_the_plain_sup(params, coin, variant, law_kind, n
         max(np.max(np.abs(cum - lim)), np.max(np.abs(cum - lim - dist.probs)))
     )
     assert kolmogorov_distance(dist, t, law) == expected
+
+
+@pytest.mark.parametrize(
+    "t", [1, 2, 3, _PIECE // 2, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE + 5]
+)
+@pytest.mark.parametrize(
+    "params, coin, variant, law_kind, n",
+    [REGRESSION_GRID[0], REGRESSION_GRID[5], REGRESSION_GRID[7]],
+)
+def test_scans_in_pieces_equal_whole_window_scans(
+    params, coin, variant, law_kind, n, t
+):
+    """The Kolmogorov distance and the report's density points, both
+    computed a piece at a time, equal their whole-window forms bit for
+    bit, for theorem1, standard and cmv_only laws; the window of 2t + 1
+    sites ends a site past a piece (t = P/2, P), a site short of one
+    (P - 1) or inside several."""
+    law = make_limit_law(law_kind, params, coin, n=n)
+    report = run_comparison(params, coin, t, variant=variant, law_kind=law_kind, n=n)
+    dist = Distribution(x_min=-t, probs=report.simulated)
+    assert report.ks_distance == whole_kolmogorov_distance(dist, t, law)
+    assert np.array_equal(report.approx, law.density(report.positions / t) / t)
+
+
+def test_kolmogorov_distance_allocation_at_depth():
+    """At t = 1e5 the scan allocates under 1 MB: its arrays are pieces,
+    none as long as the window (1.6 MB a float array)."""
+    t = 100_000
+    law = make_limit_law("theorem1", PARAMS_CANONICAL, COIN_BAL)
+    dist = distribution(evolve_fourier(COIN_BAL, PARAMS_CANONICAL, t))
+    assert law._cdf_table  # built before tracing: the law caches it
+    tracemalloc.start()
+    try:
+        kolmogorov_distance(dist, t, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_kolmogorov_distance_decreases_along_time():
