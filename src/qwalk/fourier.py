@@ -38,17 +38,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .walk import VARIANTS, CoinSpinor, WalkParams, WaveState, initial_state
 
 __all__ = [
-    "DegenerateSymbolError",
-    "EigenSystem",
-    "shifted_symbol",
-    "eigensystem",
     "group_velocity",
     "evolve_fourier",
 ]
@@ -60,10 +55,6 @@ __all__ = [
 #: would only be slow.
 MAX_STEPS = 2_000_000
 
-# Below this squared half-gap the two eigenvalues are treated as
-# colliding: eigensystem() refuses.
-_GAP_SQ_TOL = 1e-14
-
 # Length of the pieces that the engine's Chebyshev stage, matmuls and
 # site phases, and the harness's scans, work through: long arrays are
 # never built whole, and each piece's temporaries stay near the cache.
@@ -73,66 +64,9 @@ _PIECE = 16384
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
 
 
-class DegenerateSymbolError(ValueError):
-    """Raised when the two symbol eigenvalues collide at a momentum."""
-
-
 def _like_input(x, out):
     """``out`` as a float when ``x`` is a scalar, else ``out`` unchanged."""
     return float(out) if np.ndim(x) == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Spectral data of the shifted symbol at one momentum.
-
-    Attributes
-    ----------
-    k:
-        The momentum.
-    values:
-        The two unimodular eigenvalues, ``1j*s + sqrt(gap_sq)`` first.
-    vectors:
-        Unit eigenvectors as columns, ``vectors[:, j]`` for ``values[j]``.
-    gap_sq:
-        ``1 - s**2``; the eigenvalue gap is ``2*sqrt(gap_sq)``.
-    normalizers:
-        Closed-form squared norms of the two unnormalised kernel rows
-        used to build the eigenvectors.  Either may vanish at isolated
-        momenta; the construction then falls back to the complementary
-        row, which is nonzero whenever ``gap_sq`` is.
-    """
-
-    k: float
-    values: np.ndarray
-    vectors: np.ndarray
-    gap_sq: float
-    normalizers: np.ndarray
-
-
-def _symbol_entries(ek, params: WalkParams):
-    """``c`` and ``d`` of :func:`shifted_symbol` from ``ek = exp(-1j*k)``."""
-    eiv = cmath.exp(1j * params.nu)
-    c = params.rho * params.rho0 * (eiv + ek)
-    return c, -params.rho**2 * eiv + params.rho0**2 * ek
-
-
-def shifted_symbol(k, params: WalkParams) -> np.ndarray:
-    """Shifted momentum symbol of the full walk.
-
-    With ``c = rho*rho0*(exp(1j*nu) + exp(-1j*k))`` and
-    ``d = -rho**2*exp(1j*nu) + rho0**2*exp(-1j*k)`` the matrix is
-    ``[[-c, d], [conj(d), conj(c)]]``.  Accepts a scalar momentum or an
-    array; an array of shape ``shape`` yields ``shape + (2, 2)``.
-    """
-    ek = np.exp(-1j * np.asarray(k, dtype=float))
-    c, d = _symbol_entries(ek, params)
-    out = np.empty(np.shape(ek) + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = -c
-    out[..., 0, 1] = d
-    out[..., 1, 0] = np.conj(d)
-    out[..., 1, 1] = np.conj(c)
-    return out
 
 
 def _one_plus_minus(sin_y, cos_y):
@@ -174,49 +108,6 @@ def _gap_parts(cos_k, sin_k, params: WalkParams):
         part += base
     k_plus *= k_minus
     return s, k_plus
-
-
-def eigensystem(k: float, params: WalkParams) -> EigenSystem:
-    """Analytic spectral decomposition of the shifted symbol at ``k``.
-
-    Both eigenvectors are closed-form kernel rows, not a generic
-    eigensolver's: ``(d, Re c +/- root)`` (:func:`shifted_symbol`), or
-    where that is the shorter, ``(-(Re c -/+ root), conj(d))``.  Both then
-    have squared norm ``max(normalizers)``, nonzero whenever ``gap_sq`` is.
-
-    Raises
-    ------
-    DegenerateSymbolError
-        If the squared half-gap falls below 1e-14 (eigenvalue collision;
-        only possible at the special parameter set ``rho = 1/sqrt(2)``,
-        ``nu = pi/2 + n*pi``).
-    """
-    s, gap_sq = _gap_parts(math.cos(float(k)), math.sin(float(k)), params)
-    s = float(s)
-    gap_sq = float(gap_sq)
-    if gap_sq < _GAP_SQ_TOL:
-        raise DegenerateSymbolError(
-            f"symbol eigenvalues collide at k={k!r} (squared half-gap {gap_sq:.2e})"
-        )
-    root = math.sqrt(gap_sq)
-    values = np.array([1j * s + root, 1j * s - root], dtype=np.complex128)
-    c, d = _symbol_entries(cmath.exp(-1j * float(k)), params)
-    re_c = c.real
-    normalizers = (2.0 * (gap_sq + re_c * root), 2.0 * (gap_sq - re_c * root))
-    rows = []
-    for j, sgn in enumerate((1.0, -1.0)):
-        if normalizers[j] >= normalizers[1 - j]:
-            rows.append((d, re_c + sgn * root))
-        else:
-            rows.append((-(re_c - sgn * root), d.conjugate()))
-    vectors = np.array(rows).T / math.sqrt(max(normalizers))
-    return EigenSystem(
-        k=float(k),
-        values=values,
-        vectors=vectors,
-        gap_sq=gap_sq,
-        normalizers=np.array(normalizers),
-    )
 
 
 def group_velocity(k, params: WalkParams):
@@ -475,11 +366,12 @@ def evolve_fourier(
     if full_walk:
         v0, v1 = half * phi[0], half.conjugate() * phi[1]
         eiv = cmath.exp(1j * params.nu)
-        # Rows: A v = a + b exp(-1j*k) + c exp(1j*k) read off
-        # shifted_symbol, for U_t at site x, at x - 1 (b) and x + 1 (c),
-        # then -v for U_(t-1) at x.  The neighbours' 1j**(x -/+ 1) and
-        # sigma's powers are taken relative to the common phase
-        # 1j**(x + t - 1), applied per site below.
+        # A is the shifted symbol [[-c, d], [conj(d), conj(c)]] with
+        # c = rr0 (exp(1j*nu) + e), d = -rho**2 exp(1j*nu) + rho0**2 e and
+        # e = exp(-1j*k).  Rows: A v = f + g e + h conj(e), for U_t at site
+        # x, at x - 1 (g) and x + 1 (h), then -v for U_(t-1) at x.  The
+        # neighbours' 1j**(x -/+ 1) and sigma's powers are taken relative
+        # to the common phase 1j**(x + t - 1), applied per site below.
         weights = np.array(
             [
                 [

@@ -43,9 +43,9 @@ The spectral route integrates over momentum instead: each symbol branch
 moves with its group velocity and weighs the squared overlap of its
 eigenvector with the coin, a closed form in ``k`` (Grimmett, Janson and
 Scudo, PRE 69, 026119, 2004).  It uses the same 16-point rule on panels
-that halve towards ``k = -/+pi/2``, where the symbol's gap comes closest
-to closing; the panels reach as deep as the gap is narrow, so the route
-stays accurate next to the special set.
+that halve towards ``k = -/+pi/2``, a panel edge, where the symbol's gap
+comes closest to closing; the panels reach as deep as the gap is narrow,
+so the route stays accurate at and next to the special set.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier import DegenerateSymbolError, _gap_parts, _like_input
+from .fourier import _gap_parts, _like_input
 from .walk import CoinSpinor, WalkParams
 
 __all__ = [
@@ -505,7 +505,7 @@ def make_limit_law(
     )
 
 
-# Each entry holds three arrays of at most 784 nodes (19 KB): an r-sweep
+# Each entry holds three arrays of at most 1664 nodes (39 KB): an r-sweep
 # over one (params, coin) pair reuses them, and a run over many pairs
 # stays bounded.
 @lru_cache(maxsize=16)
@@ -525,28 +525,30 @@ def _spectral_nodes(
     period centred on ``k* = -/+ pi/2`` (the sign of ``sin nu``), where
     ``|s(k)|`` peaks and the gap comes closest to closing.  Its panels
     halve towards ``k*``, ``k* +/- [pi 2**-(j+1), pi 2**-j]`` for
-    ``j < J``, plus ``[k* - pi 2**-J, k* + pi 2**-J]``.  The integrand's
-    nearest singularities are the branch points of ``1 - s(k)**2`` at
-    ``k* +/- i*eta`` with ``cosh(eta) = 1 + g/p``, ``g = 1 - p(1 + |sin
-    nu|)``.  ``J = ceil(log2(4 pi/eta))`` (at least 2) makes the centre
-    panel at most ``eta/2`` wide, and every other panel is as wide as its
-    distance from ``k*``.  The arrays are read-only, as they are shared
-    between calls.
+    ``j < J``, plus ``k* +/- [0, pi 2**-J]``: ``k*`` is a panel edge, so
+    each half of the integrand is smooth even where the gap closes there,
+    at the special parameter set.  Next to it the integrand's nearest
+    singularities are the branch points of ``1 - s(k)**2`` at ``k* +/-
+    i*eta`` with ``cosh(eta) = 1 + g/p``, ``g = 1 - p(1 + |sin nu|)``.
+    ``J = ceil(log2(4 pi/eta)) - 1`` (at least 1, at most 51, where a
+    panel is about 6 ulp of ``pi/2`` wide) makes the two centre panels at
+    most ``eta/2`` wide, and every other panel is as wide as its distance
+    from ``k*``.  The arrays are read-only, as they are shared between
+    calls.
     """
     p, lo_sq, _ = _edge_squares(params)
     sin_nu = math.sin(params.nu)
     a = abs(sin_nu)
     # 1 - p - p*a without cancellation: lo_sq is it times 1 - p + p*a.
     g = lo_sq / (1.0 - p + p * a)
-    if g * (1.0 + p * (1.0 + a)) < 1e-12:
-        raise DegenerateSymbolError(
-            "spectral gap closes at momentum -/+pi/2 (special parameter set)"
-        )
     eta = 2.0 * math.asinh(math.sqrt(g / (2.0 * p)))
-    depth = max(2, math.ceil(math.log2(4.0 * math.pi / eta)))
+    # eta is 0 at the special set and inf at a subnormal rho: clamped to
+    # where the depth reaches its bounds, 51 and 1, so log2 sees neither.
+    eta = min(max(eta, 4.0 * math.pi * 0.5**52), math.pi)
+    depth = math.ceil(math.log2(4.0 * math.pi / eta)) - 1
     widths = math.pi * 0.5 ** np.arange(depth + 1)
     k_star = -0.5 * math.pi if sin_nu >= 0.0 else 0.5 * math.pi
-    edges = k_star + np.concatenate((-widths, widths[::-1]))
+    edges = k_star + np.concatenate((-widths, [0.0], widths[::-1]))
     k, weights = _panel_rule(edges[:-1], edges[1:])
     k, weights = k.ravel(), weights.ravel() / (2.0 * np.pi)
     rr0 = params.rho * params.rho0
@@ -575,19 +577,12 @@ def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float
     symbol eigenvector with the rotated coin, over one momentum period,
     with a composite Gauss-Legendre rule graded towards the momentum
     where the gap comes closest to closing (:func:`_spectral_nodes`).
-    Away from the special set it takes 80 to a few hundred nodes and
+    Away from the special set it takes 64 to a few hundred nodes and
     matches a 65536-node uniform trapezoid to 1e-15; at distance 1e-6
-    from it, 752 nodes match :meth:`LimitLaw.moment` to 1e-11.
-    Independent of the density quadrature route, which it cross-checks.
-    The node arrays are computed once per ``(params, coin)`` and kept in
-    a small cache.
-
-    Raises
-    ------
-    DegenerateSymbolError
-        If the squared half-gap ``1 - s(k)**2`` at ``k = -/+pi/2`` is
-        below 1e-12: at the special parameter set, where the eigenvalues
-        collide there, and within about 1e-6 of it.
+    from it 704 to 768 nodes, and at the set itself 1664, match
+    :meth:`LimitLaw.moment` to 1e-15.  Independent of the density
+    quadrature route, which it cross-checks.  The node arrays are
+    computed once per ``(params, coin)`` and kept in a small cache.
     """
     r = _moment_order(r)
     velocity, weight_plus, weight_minus = _spectral_nodes(params, coin)

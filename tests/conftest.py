@@ -5,8 +5,9 @@ The dense operators below are assembled directly from the three-band
 from its four local factors.  They never touch the vectorised stepping
 code in ``qwalk.walk``, so agreement between the two is a genuine
 cross-check rather than a tautology.  The module also holds the
-reference functions that only the tests call (``phase_rotation``,
-``branch_radicand``, ``extremal_momentum``, ``envelope_deviation``,
+reference functions that only the tests call (``shifted_symbol``,
+``branch_eigenvectors``, ``phase_rotation``, ``branch_radicand``,
+``extremal_momentum``, ``envelope_deviation``,
 ``whole_kolmogorov_distance``), the
 closed-form CDF that the ``cmv_only`` and ``standard`` laws are checked
 against, and the sub-panel CDF that every law's CDF is checked against.
@@ -111,6 +112,35 @@ def subpanel_cdf(law, x):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return _like_input(x, cum[rank[_PANEL_EDGES.size :]].reshape(x_arr.shape))
+
+
+def shifted_symbol(k, params: WalkParams) -> np.ndarray:
+    """Shifted momentum symbol of the full walk.
+
+    With ``c = rho*rho0*(exp(1j*nu) + exp(-1j*k))`` and
+    ``d = -rho**2*exp(1j*nu) + rho0**2*exp(-1j*k)`` the matrix is
+    ``[[-c, d], [conj(d), conj(c)]]``.  Accepts a scalar momentum or an
+    array; an array of shape ``shape`` yields ``shape + (2, 2)``.
+    """
+    ek = np.exp(-1j * np.asarray(k, dtype=float))
+    eiv = cmath.exp(1j * params.nu)
+    c = params.rho * params.rho0 * (eiv + ek)
+    d = -params.rho**2 * eiv + params.rho0**2 * ek
+    out = np.empty(np.shape(ek) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = -c
+    out[..., 0, 1] = d
+    out[..., 1, 0] = np.conj(d)
+    out[..., 1, 1] = np.conj(c)
+    return out
+
+
+def branch_eigenvectors(k: float, params: WalkParams) -> np.ndarray:
+    """Unit eigenvectors of :func:`shifted_symbol` at ``k`` as columns, by
+    ``numpy.linalg.eig``: first that of ``1j*s + sqrt(gap_sq)``, the
+    eigenvalue with the larger real part, then that of ``1j*s - sqrt(gap_sq)``.
+    """
+    values, vectors = np.linalg.eig(shifted_symbol(k, params))
+    return vectors[:, np.argsort(-values.real)]
 
 
 def phase_rotation(phi: float) -> np.ndarray:

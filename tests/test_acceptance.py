@@ -21,6 +21,9 @@ from conftest import (
     PARAMS_CANONICAL,
     REGRESSION_GRID,
     SQ2,
+    branch_eigenvectors,
+    phase_rotation,
+    shifted_symbol,
 )
 from scipy.optimize import minimize_scalar
 
@@ -28,7 +31,6 @@ from qwalk import (
     CoinSpinor,
     WalkParams,
     distribution,
-    eigensystem,
     empirical_moment,
     evolve,
     evolve_fourier,
@@ -38,13 +40,14 @@ from qwalk import (
     momentum_branch,
     momentum_branch_derivative,
     run_comparison,
-    shifted_symbol,
     spectral_limit_moment,
     step_cmv_only,
     step_full,
     support_halfwidth,
 )
+from qwalk import limitlaw
 from qwalk.cli import main as cli_main
+from qwalk.fourier import _gap_parts
 
 TEN_POINTS = (
     PARAMS_SPECIAL,
@@ -141,26 +144,51 @@ def test_criterion_02_picture_equivalence():
     )
 
 
-def test_criterion_03_eigensystem_fidelity():
+def test_criterion_03_eigensystem_fidelity(monkeypatch):
+    """The package's eigenvalues ``1j*s +/- sqrt(gap_sq)`` on a k-grid, and
+    its closed-form branch weights at the spectral route's nodes, against
+    numpy's eigenvectors of the symbol."""
     ks = np.linspace(-math.pi, math.pi, 1000)
     worst_mod = 0.0
     worst_res = 0.0
+    worst_weight = 0.0
+    rule_nodes, panel_rule = [], limitlaw._panel_rule
+
+    def recorded_rule(lo, hi):
+        k, weights = panel_rule(lo, hi)
+        rule_nodes.append(k.ravel().copy())
+        return k, weights
+
+    monkeypatch.setattr(limitlaw, "_panel_rule", recorded_rule)
     for params in OFF_SPECIAL_POINTS:
-        for k in ks:
-            es = eigensystem(float(k), params)
+        s, gap_sq = _gap_parts(np.cos(ks), np.sin(ks), params)
+        values = np.stack((1j * s + np.sqrt(gap_sq), 1j * s - np.sqrt(gap_sq)), 1)
+        worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(values) - 1.0))))
+        for k, pair in zip(ks, values):
             symbol = shifted_symbol(float(k), params)
-            worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(es.values) - 1.0))))
+            vectors = branch_eigenvectors(float(k), params)
             for j in range(2):
-                residual = symbol @ es.vectors[:, j] - es.values[j] * es.vectors[:, j]
+                residual = symbol @ vectors[:, j] - pair[j] * vectors[:, j]
                 worst_res = max(worst_res, float(np.linalg.norm(residual)))
-    ok = worst_mod <= 1e-12 and worst_res <= 1e-10
+        rule_nodes.clear()
+        _, weight_plus, weight_minus = limitlaw._spectral_nodes.__wrapped__(
+            params, COIN_GEN
+        )
+        phi = phase_rotation(params.nu / 2) @ COIN_GEN.as_array()
+        share = weight_plus / (weight_plus + weight_minus)
+        for k, got in zip(rule_nodes[0], share):
+            overlap = abs(np.vdot(branch_eigenvectors(float(k), params)[:, 0], phi))
+            worst_weight = max(worst_weight, abs(got - overlap**2))
+    ok = worst_mod <= 1e-12 and worst_res <= 1e-10 and worst_weight <= 1e-10
     _verdict(
         3,
         "eigen-system fidelity",
         ok,
         f"max ||lambda|-1| = {worst_mod:.3e} (tol 1e-12),"
         f" max residual = {worst_res:.3e} (tol 1e-10),"
-        " 1000-point k-grid x 10 points",
+        " 1000-point k-grid x 10 points;"
+        f" max branch-weight error = {worst_weight:.3e} (tol 1e-10)"
+        " at the spectral nodes",
     )
 
 
@@ -217,7 +245,7 @@ def test_criterion_05_support_halfwidth_anchors():
 
 def test_criterion_06_moment_routes_agree():
     worst = 0.0
-    for params in PARAM_POINTS:
+    for params in (*PARAM_POINTS, PARAMS_SPECIAL, WalkParams(SQ2, 3 * math.pi / 2)):
         for coin in (COIN_BAL, CoinSpinor(0.8, complex(0.36, 0.48))):
             law = make_limit_law("theorem1", params, coin)
             for r in range(4):
@@ -228,7 +256,8 @@ def test_criterion_06_moment_routes_agree():
         "dual moment routes",
         worst <= 1e-6,
         f"max |density-route - spectral-route| = {worst:.3e} for"
-        " r in 0..3 on 5 off-special points, two coins (tol 1e-6)",
+        " r in 0..3 on 5 off-special points and both special pairs,"
+        " two coins (tol 1e-6)",
     )
 
 

@@ -18,20 +18,18 @@ from conftest import (
     REGRESSION_GRID,
     SQ2,
     phase_rotation,
+    shifted_symbol,
 )
 from scipy.fft import dct, next_fast_len
 
 from qwalk import (
     CoinSpinor,
-    DegenerateSymbolError,
     WalkParams,
     distribution,
-    eigensystem,
     evolve,
     evolve_fourier,
     group_velocity,
     initial_state,
-    shifted_symbol,
 )
 from qwalk.fourier import (
     _PIECE,
@@ -140,60 +138,27 @@ def test_shifted_symbol_at_zero_momentum_hand_values():
     )
 
 
-def test_eigensystem_residuals_on_k_grid():
-    params = WalkParams(0.45, 0.9)
-    for k in np.linspace(-math.pi, math.pi, 1000):
-        es = eigensystem(float(k), params)
-        mat = shifted_symbol(float(k), params)
-        for j in range(2):
-            assert abs(abs(es.values[j]) - 1.0) < 1e-12
-            residual = mat @ es.vectors[:, j] - es.values[j] * es.vectors[:, j]
-            assert np.linalg.norm(residual) < 1e-10
-        assert abs(np.vdot(es.vectors[:, 0], es.vectors[:, 1])) < 1e-10
-        assert es.gap_sq > 0.0
-        assert np.all(es.normalizers > 0.0)
+def _branch_values(k, params):
+    """The eigenvalues ``1j*s +/- sqrt(gap_sq)`` of :func:`_gap_parts` at ``k``."""
+    s, gap_sq = _gap_parts(np.cos(k), np.sin(k), params)
+    return 1j * s + np.sqrt(gap_sq), 1j * s - np.sqrt(gap_sq)
 
 
-def test_eigensystem_gap_matches_imaginary_part():
-    """J = 1 - (Im lambda)^2 for both eigenvalues."""
+def test_gap_parts_gap_matches_eigenvalue_imaginary_part():
+    """gap_sq = 1 - (Im lambda)^2 for both eigenvalues of the symbol."""
     params = WalkParams(0.7, -0.6)
     for k in np.linspace(-math.pi, math.pi, 50):
-        es = eigensystem(float(k), params)
-        for j in range(2):
-            assert es.gap_sq == pytest.approx(
-                1.0 - es.values[j].imag ** 2, abs=1e-12
-            )
+        gap_sq = float(_gap_parts(math.cos(k), math.sin(k), params)[1])
+        for value in np.linalg.eigvals(shifted_symbol(float(k), params)):
+            assert gap_sq == pytest.approx(1.0 - value.imag**2, abs=1e-12)
 
 
-def test_eigensystem_product_matches_determinant():
+def test_gap_parts_eigenvalue_product_matches_determinant():
     params = WalkParams(0.52, 1.4)
     for k in (-2.5, -0.8, 0.1, 1.9):
-        es = eigensystem(k, params)
+        plus, minus = _branch_values(k, params)
         det = np.linalg.det(shifted_symbol(k, params))
-        assert es.values[0] * es.values[1] == pytest.approx(det, abs=1e-12)
-
-
-def test_eigensystem_survives_vanishing_normalizer():
-    """At rho = 1/sqrt(2) one closed-form row norm vanishes at k = -nu.
-
-    The constructor must fall back to the complementary row and still
-    return unit eigenvectors with tiny residuals.
-    """
-    params = PARAMS_CANONICAL
-    k = -params.nu
-    es = eigensystem(k, params)
-    assert min(es.normalizers) < 1e-12  # the degenerate row really occurs
-    mat = shifted_symbol(k, params)
-    for j in range(2):
-        assert np.linalg.norm(es.vectors[:, j]) == pytest.approx(1.0, abs=1e-12)
-        residual = mat @ es.vectors[:, j] - es.values[j] * es.vectors[:, j]
-        assert np.linalg.norm(residual) < 1e-12
-
-
-def test_eigensystem_raises_when_eigenvalues_collide():
-    params = WalkParams(SQ2, math.pi / 2)
-    with pytest.raises(DegenerateSymbolError):
-        eigensystem(-math.pi / 2, params)
+        assert complex(plus * minus) == pytest.approx(det, abs=1e-12)
 
 
 def test_group_velocity_zeros_and_nu_zero_value():
@@ -210,7 +175,7 @@ def test_group_velocity_matches_eigenvalue_log_derivative():
     params = WalkParams(0.6, 1.0)
     eps = 1e-6
     for k in (-2.2, -0.5, 0.3, 1.7):
-        lam = lambda kk: eigensystem(kk, params).values[0]  # noqa: E731
+        lam = lambda kk: complex(_branch_values(kk, params)[0])  # noqa: E731
         deriv = (lam(k + eps) - lam(k - eps)) / (2 * eps)
         assert (1j * deriv / lam(k)).real == pytest.approx(
             -group_velocity(k, params), abs=1e-8
