@@ -62,7 +62,7 @@ __all__ = [
     "report_from_dict",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _DENSITY_GRID_POINTS = 2001
 _DENSITY_GRID_PAD = 1.05
@@ -122,8 +122,9 @@ _OPTION_HELP = {
     "beta": "coin amplitude a1 as re,im (default 0,0)",
     "t": "number of steps",
     "variant": f"walk variant: {' or '.join(VARIANTS)} (default {VARIANTS[0]})",
-    "law": f"limit law: {', '.join(LAW_KINDS)} (default theorem1)",
-    "n": "branch index of the standard law",
+    "law": f"limit law: {', '.join(LAW_KINDS)} (default theorem1,"
+    " or cmv_only for the cmv_only variant)",
+    "n": "branch index of the standard law (default: the one nu decides)",
     "grid": "rho_min,rho_max,rho_steps,nu_min,nu_max,nu_steps (angles may use pi-tokens)",
     "config": "flat key=value file; flags override it",
     "out": "output file path",
@@ -165,10 +166,15 @@ def _parse_grid(text: str) -> tuple[float, float, int, float, float, int]:
     rho_steps = int(tokens[2])
     nu_min, nu_max = parse_angle(tokens[3]), parse_angle(tokens[4])
     nu_steps = int(tokens[5])
+    for name, bound in (("nu_min", nu_min), ("nu_max", nu_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"grid {name} must be finite, got {bound!r}")
     if not (0.0 < rho_min <= rho_max < 1.0):
         raise ValueError("grid rho bounds must satisfy 0 < rho_min <= rho_max < 1")
     if nu_min > nu_max:
         raise ValueError("grid nu bounds must satisfy nu_min <= nu_max")
+    if not math.isfinite(nu_max - nu_min):
+        raise ValueError("grid nu span nu_max - nu_min must be finite")
     if rho_steps < 2 or nu_steps < 2:
         raise ValueError("grid must have at least 2 steps per axis")
     # No more rows than simulate writes at its step limit, refused
@@ -272,9 +278,8 @@ def cmd_simulate(options: dict[str, str], fmt: str) -> Chunks:
 def cmd_density(options: dict[str, str], fmt: str) -> Chunks:
     """Limit density on a 2001-point grid padded 5% beyond the support."""
     params, coin = _walk(options)
-    law = make_limit_law(
-        options.get("law", "theorem1"), params, coin, n=int(options.get("n", "0"))
-    )
+    n = int(options["n"]) if "n" in options else None
+    law = make_limit_law(options.get("law", "theorem1"), params, coin, n=n)
     xs = np.linspace(
         -_DENSITY_GRID_PAD * law.support_hi,
         _DENSITY_GRID_PAD * law.support_hi,
@@ -291,7 +296,6 @@ def _report_header(report: ComparisonReport) -> dict:
         "t": int(report.t),
         "variant": report.variant,
         "law": report.law_kind,
-        "smoothing_width": int(report.smoothing_width),
         "ks_distance": float(report.ks_distance),
         "moment_errors": [
             {"r": int(r), "error": float(e)} for r, e in report.moment_errors
@@ -331,20 +335,20 @@ def report_from_dict(data: dict) -> ComparisonReport:
         positions=np.array([row["x"] for row in rows], dtype=int),
         simulated=np.array([row["simulated"] for row in rows]),
         approx=np.array([row["approx"] for row in rows]),
-        smoothing_width=int(data["smoothing_width"]),
     )
 
 
 def cmd_compare(options: dict[str, str], fmt: str) -> Chunks:
     """Comparison report: metadata block plus per-site rows."""
     params, coin = _walk(options)
+    n = int(options["n"]) if "n" in options else None
     report = run_comparison(
         params,
         coin,
         int(_require(options, "t")),
         variant=options.get("variant", VARIANTS[0]),
-        law_kind=options.get("law", "theorem1"),
-        n=int(options.get("n", "0")),
+        law_kind=options.get("law"),
+        n=n,
     )
     return _table(fmt, _report_header(report), _report_columns(report), meta=True)
 

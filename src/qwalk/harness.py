@@ -25,7 +25,8 @@ __all__ = [
     "run_comparison",
 ]
 
-_SMOOTHING_WIDTH = 5
+# Moment orders a report scores.
+_MOMENTS = (1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,9 +37,7 @@ class ComparisonReport:
     the simulated window: exact probabilities beside the rescaled
     limit-density points.  ``moment_errors`` pairs each tested moment
     order with ``|empirical - limit|``.  ``approx`` is the raw
-    ``density(x/t)/t``; nothing here smooths.  ``smoothing_width`` is a
-    moving-average window (in sites) a reader may smooth the oscillating
-    ``simulated`` with before setting it beside ``approx``.
+    ``density(x/t)/t``; nothing here smooths.
     """
 
     t: int
@@ -49,7 +48,6 @@ class ComparisonReport:
     positions: np.ndarray
     simulated: np.ndarray
     approx: np.ndarray
-    smoothing_width: int = _SMOOTHING_WIDTH
 
 
 def empirical_moment(dist: Distribution, t: int, r: int) -> float:
@@ -104,9 +102,8 @@ def run_comparison(
     coin: CoinSpinor,
     t: int,
     variant: str = VARIANTS[0],
-    law_kind: str = "theorem1",
-    n: int = 0,
-    moments: tuple[int, ...] = (1, 2),
+    law_kind: str | None = None,
+    n: int | None = None,
 ) -> ComparisonReport:
     """Evolve a walk, score it against a limit law, return the report.
 
@@ -114,11 +111,16 @@ def run_comparison(
     is exact and matches the lattice stepper :func:`~qwalk.walk.evolve`
     to within 1e-12 in total variation at O(t log t) cost.  The law kind
     must match the variant (``theorem1``/``standard`` for the full walk,
-    ``cmv_only`` for the swap-free walk).  ``t = 0`` is allowed and
-    degenerates to rescaling by 1; :func:`~qwalk.fourier.evolve_fourier`
-    refuses a negative ``t`` with a ``ValueError``.
+    ``cmv_only`` for the swap-free walk); by default it is the variant's
+    first.  ``n`` goes to :func:`~qwalk.limitlaw.make_limit_law`.  ``t =
+    0`` is allowed and degenerates to rescaling by 1;
+    :func:`~qwalk.fourier.evolve_fourier` refuses a negative ``t`` with a
+    ``ValueError``.
     """
-    if law_kind not in VARIANT_LAWS.get(variant, ()):
+    kinds = VARIANT_LAWS.get(variant, ())
+    if law_kind is None and kinds:
+        law_kind = kinds[0]
+    if law_kind not in kinds:
         raise ValueError(
             f"law kind {law_kind!r} does not fit variant {variant!r};"
             f" the pairs are {VARIANT_LAWS}"
@@ -129,7 +131,7 @@ def run_comparison(
     ks = kolmogorov_distance(dist, scale, law)
     errors = tuple(
         (r, abs(empirical_moment(dist, scale, r) - law.moment(r)))
-        for r in moments
+        for r in _MOMENTS
     )
     positions = dist.positions()
     approx = np.empty(len(positions))

@@ -8,8 +8,8 @@ This module evaluates that law and every scalar function entering it:
   support,
 * ``support_halfwidth`` -- the support edge ``h*``, the peak of the
   group velocity,
-* ``momentum_branch`` / ``momentum_branch_derivative`` -- the two
-  inverse branches of the group velocity and their derivative,
+* ``momentum_branch`` -- the two inverse branches of the group
+  velocity,
 * ``spectral_limit_moment`` -- limit moments straight from the
   symbol's branch velocities and closed-form branch weights in momentum,
   an independent route used to cross-check the quadrature of the density.
@@ -69,7 +69,6 @@ __all__ = [
     "support_polynomial",
     "support_halfwidth",
     "momentum_branch",
-    "momentum_branch_derivative",
     "spectral_limit_moment",
 ]
 
@@ -255,9 +254,9 @@ def momentum_branch(x, params: WalkParams, sign: int):
     where the arcsin of the first would lose them.
 
     Defined for ``|x| < h*``; both branches are even functions of ``x``
-    and parameterize the positive velocity ``|x|``, so the identities
-    ``group_velocity(momentum_branch(x)) = x`` and the derivative
-    formula below apply on the positive half ``x in (0, h*)``.
+    and parameterize the positive velocity ``|x|``, so the identity
+    ``group_velocity(momentum_branch(x)) = x`` holds on the positive
+    half ``x in (0, h*)``.
 
     Raises
     ------
@@ -268,17 +267,6 @@ def momentum_branch(x, params: WalkParams, sign: int):
     p = params.rho * params.rho0
     num = sign * root - p * math.sin(params.nu) * np.square(x_arr)
     out = np.arctan2(num, np.abs(x_arr) * np.sqrt(eta))
-    return _like_input(x, out)
-
-
-def momentum_branch_derivative(x, params: WalkParams, sign: int):
-    """Derivative ``dk_sign/dx = -sign * sqrt(radicand_sign) / ((1-x^2) sqrt(xi))``.
-
-    Matches the derivative of :func:`momentum_branch` on the positive
-    half of the support (see there for the even-function convention).
-    """
-    x_arr, root, eta = _branch_parts(x, params, sign)
-    out = -sign * np.sqrt(eta) / ((1.0 - np.square(x_arr)) * root)
     return _like_input(x, out)
 
 
@@ -294,8 +282,6 @@ class LimitLaw:
 
     kind: str
     params: WalkParams
-    coin: CoinSpinor
-    n: int
     support_hi: float
     coeff: float
 
@@ -447,7 +433,7 @@ def _special_branch_index(params: WalkParams) -> int | None:
 
 
 def make_limit_law(
-    kind: str, params: WalkParams, coin: CoinSpinor, n: int = 0
+    kind: str, params: WalkParams, coin: CoinSpinor, n: int | None = None
 ) -> LimitLaw:
     """Construct a limit law of the given kind.
 
@@ -458,14 +444,16 @@ def make_limit_law(
     params, coin:
         Walk parameters and initial coin.
     n:
-        Branch index of the standard law; must satisfy
-        ``nu = pi/2 + n*pi`` (mod 2pi).  Ignored by the other kinds.
+        Branch index of the standard law, which ``nu = pi/2 + n*pi``
+        (mod 2pi) decides; a given ``n`` must agree with ``nu``.
+        Ignored by the other kinds.
 
     Raises
     ------
     ValueError
         On unknown kind, a standard law requested away from its special
-        parameter set, or a cmv_only law with ``rho`` below 0.02.
+        parameter set or with an ``n`` of the wrong parity, or a cmv_only
+        law with ``rho`` below 0.02.
     """
     if kind not in LAW_KINDS:
         raise ValueError(f"unknown law kind {kind!r}")
@@ -480,12 +468,12 @@ def make_limit_law(
             raise ValueError(
                 "standard law requires rho = 1/sqrt(2) and nu = pi/2 + n*pi"
             )
-        if (n - branch) % 2 != 0:
+        if n is not None and (n - branch) % 2 != 0:
             raise ValueError(
                 f"branch index n={n} inconsistent with nu={params.nu!r}"
             )
         support_hi = math.sqrt(0.5)
-        coeff = base + (-1.0) ** (n % 2) * 2.0 * cross.imag
+        coeff = base + (-2.0 if branch else 2.0) * cross.imag
     else:
         if params.rho < _CMV_ONLY_RHO_MIN:
             raise ValueError(
@@ -495,14 +483,7 @@ def make_limit_law(
         coeff = base - (2.0 * params.rho / params.rho0) * (
             cross.real * math.cos(params.nu) + cross.imag * math.sin(params.nu)
         )
-    return LimitLaw(
-        kind=kind,
-        params=params,
-        coin=coin,
-        n=n,
-        support_hi=support_hi,
-        coeff=coeff,
-    )
+    return LimitLaw(kind=kind, params=params, support_hi=support_hi, coeff=coeff)
 
 
 # Each entry holds three arrays of at most 1664 nodes (39 KB): an r-sweep

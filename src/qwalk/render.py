@@ -190,20 +190,21 @@ def _decimal(v: np.ndarray, shortest: bool):
         # element is unsure, and whether the edge belongs (even m) is left
         # to Python.  j = 0 always does, as half_ulp > 0.55, and a j that
         # does implies every smaller one, so each j is tried on the
-        # elements that passed j - 1.
+        # elements that passed j - 1.  No j past 2 is tried: half_ulp =
+        # y/(2m) < 2**-53 * 1e17 < 11.1, so a multiple of 10**j, j >= 3,
+        # inside the interval is also y's nearest multiple of 100, and
+        # gives the same digits.
         step = np.ones_like(n)
         rem = np.zeros_like(n)
         unsure = np.zeros(v.shape, dtype=bool)
         live = np.arange(v.size)
         nl, fl, el = n, frac, half_ulp
-        for j in range(1, _DIGITS):
+        for j in (1, 2):
             r = nl % _POW10[j]
             gap = np.minimum(r + fl, (_POW10[j] - r) - fl)
             unsure[live[np.abs(gap - el) < _SLACK]] = True
             kept = gap < el
             live = live[kept]
-            if not live.size:
-                break
             step[live] = _POW10[j]
             rem[live] = r[kept]
             nl, fl, el = nl[kept], fl[kept], el[kept]

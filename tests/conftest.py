@@ -7,10 +7,10 @@ code in ``qwalk.walk``, so agreement between the two is a genuine
 cross-check rather than a tautology.  The module also holds the
 reference functions that only the tests call (``shifted_symbol``,
 ``branch_eigenvectors``, ``phase_rotation``, ``branch_radicand``,
-``extremal_momentum``, ``envelope_deviation``,
-``whole_kolmogorov_distance``), the
-closed-form CDF that the ``cmv_only`` and ``standard`` laws are checked
-against, and the sub-panel CDF that every law's CDF is checked against.
+``momentum_branch_derivative``, ``extremal_momentum``,
+``envelope_deviation``, ``whole_kolmogorov_distance``), the closed-form
+CDF that the ``cmv_only`` and ``standard`` laws are checked against, and
+the sub-panel CDF that every law's CDF is checked against.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from qwalk.fourier import _like_input
 from qwalk.limitlaw import (
     _PANEL_EDGES,
     OutOfSupportError,
+    _branch_parts,
     _edge_squares,
     _panel_rule,
     _radicand_given_root,
@@ -170,6 +171,18 @@ def branch_radicand(x, params: WalkParams, sign: int):
     return _like_input(x, _radicand_given_root(x_sq, np.sqrt(xi), params, sign))
 
 
+def momentum_branch_derivative(x, params: WalkParams, sign: int):
+    """Derivative ``dk_sign/dx = -sign * sqrt(radicand_sign) / ((1-x^2) sqrt(xi))``.
+
+    Matches the derivative of :func:`~qwalk.limitlaw.momentum_branch` on
+    the positive half of the support (see there for the even-function
+    convention).
+    """
+    x_arr, root, eta = _branch_parts(x, params, sign)
+    out = -sign * np.sqrt(eta) / ((1.0 - np.square(x_arr)) * root)
+    return _like_input(x, out)
+
+
 def extremal_momentum(params: WalkParams) -> float:
     """Momentum in ``[-pi/2, pi/2]`` where the group velocity peaks at ``h*``."""
     sv = math.sin(params.nu)
@@ -180,15 +193,18 @@ def extremal_momentum(params: WalkParams) -> float:
     return math.asin(max(-1.0, min(1.0, num / (2.0 * p * p * sv))))
 
 
+#: Moving-average window, in sites, of :func:`envelope_deviation`.
+ENVELOPE_WINDOW = 5
+
+
 def envelope_deviation(report: ComparisonReport) -> float:
     """Mean absolute gap between the limit points and the smoothed simulation.
 
-    Smooths the simulated probabilities with the report's moving-average
-    window before comparing, since the finite-time distribution
-    oscillates site to site around the density envelope.
+    Smooths the simulated probabilities with a moving average of
+    ``ENVELOPE_WINDOW`` sites before comparing, since the finite-time
+    distribution oscillates site to site around the density envelope.
     """
-    width = report.smoothing_width
-    kernel = np.full(width, 1.0 / width)
+    kernel = np.full(ENVELOPE_WINDOW, 1.0 / ENVELOPE_WINDOW)
     smooth = np.convolve(report.simulated, kernel, mode="same")
     return float(np.mean(np.abs(report.approx - smooth)))
 

@@ -22,6 +22,7 @@ from conftest import (
     REGRESSION_GRID,
     SQ2,
     branch_eigenvectors,
+    momentum_branch_derivative,
     phase_rotation,
     shifted_symbol,
 )
@@ -38,7 +39,6 @@ from qwalk import (
     initial_state,
     make_limit_law,
     momentum_branch,
-    momentum_branch_derivative,
     run_comparison,
     spectral_limit_moment,
     step_cmv_only,
@@ -401,8 +401,8 @@ def test_criterion_11_cli_determinism_and_schema(tmp_path):
     lines = out.read_text().splitlines()
     headers_ok = (
         headers_ok
-        and lines[0] == "# schema_version,1"
-        and lines[9] == "x,simulated,approx"
+        and lines[0] == "# schema_version,2"
+        and lines[8] == "x,simulated,approx"
     )
     assert run("sweep", "--grid", "0.2,0.8,3,0,pi,4", "--out", out) == 0
     headers_ok = headers_ok and out.read_text().splitlines()[0] == "rho,nu,h_star"
@@ -418,11 +418,10 @@ def test_criterion_11_cli_determinism_and_schema(tmp_path):
         "t",
         "variant",
         "law",
-        "smoothing_width",
         "ks_distance",
         "moment_errors",
         "rows",
-    } and payload["schema_version"] == 1
+    } and payload["schema_version"] == 2
     assert run("simulate", *flags, "--t", "2", "--format", "json", "--out", out) == 0
     payload = json.loads(out.read_text())
     schema_ok = schema_ok and set(payload) == {

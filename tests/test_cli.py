@@ -123,7 +123,7 @@ def test_simulate_json_round_trips_amplitudes(tmp_path):
         "simulate", *CANON_FLAGS, "--t", 0, "--format", "json", "--out", out
     ) == 0
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["command"] == "simulate"
     assert payload["rows"] == [
         {
@@ -263,19 +263,18 @@ def test_compare_csv_metadata_block(tmp_path):
         "t",
         "variant",
         "law",
-        "smoothing_width",
         "ks_distance",
         "moment_error_r1",
         "moment_error_r2",
     ]
-    meta = dict(line[2:].split(",", 1) for line in lines[:9])
-    assert meta["schema_version"] == "1"
+    meta = dict(line[2:].split(",", 1) for line in lines[:8])
+    assert meta["schema_version"] == "2"
     assert meta["t"] == "100"
     assert meta["variant"] == "full"
     assert meta["law"] == "theorem1"
     assert 0.0 < float(meta["ks_distance"]) <= 0.1
-    assert lines[9] == "x,simulated,approx"
-    assert len(lines) == 9 + 1 + 201
+    assert lines[8] == "x,simulated,approx"
+    assert len(lines) == 8 + 1 + 201
 
 
 def test_compare_json_round_trip(tmp_path):
@@ -298,7 +297,6 @@ def test_compare_json_round_trip(tmp_path):
         "t",
         "variant",
         "law",
-        "smoothing_width",
         "ks_distance",
         "moment_errors",
         "rows",
@@ -375,7 +373,7 @@ def _old_csv(header, rows, meta=None) -> str:
 
 
 def _old_json(payload) -> str:
-    body = {"schema_version": 1}
+    body = {"schema_version": 2}
     body.update(payload)
     return json.dumps(body, indent=2) + "\n"
 
@@ -459,12 +457,11 @@ def test_compare_rendering_is_byte_identical(
     if fmt == "json":
         expected = _old_json(
             {
-                "schema_version": 1,
+                "schema_version": 2,
                 "command": "compare",
                 "t": int(report.t),
                 "variant": report.variant,
                 "law": report.law_kind,
-                "smoothing_width": int(report.smoothing_width),
                 "ks_distance": float(report.ks_distance),
                 "moment_errors": [
                     {"r": int(r), "error": float(e)} for r, e in report.moment_errors
@@ -477,12 +474,11 @@ def test_compare_rendering_is_byte_identical(
         )
     else:
         meta = [
-            "schema_version,1",
+            "schema_version,2",
             "command,compare",
             f"t,{report.t}",
             f"variant,{report.variant}",
             f"law,{report.law_kind}",
-            f"smoothing_width,{report.smoothing_width}",
             f"ks_distance,{_old_fmt(report.ks_distance)}",
         ]
         meta.extend(f"moment_error_r{r},{_old_fmt(e)}" for r, e in report.moment_errors)
@@ -721,7 +717,7 @@ def test_unwritable_output_exits_1(tmp_path):
     assert rc == 1
 
 
-def test_bad_grid_exits_2(tmp_path):
+def test_bad_grid_exits_2(tmp_path, capsys):
     assert run_cli(
         "sweep", "--grid", "0.9,0.5,3,0,pi,5", "--out", tmp_path / "x"
     ) == 2
@@ -733,7 +729,18 @@ def test_bad_grid_exits_2(tmp_path):
     assert run_cli(
         "sweep", "--grid", "0.2,0.8,1000000,0,pi,1000000", "--out", tmp_path / "x"
     ) == 2
+    # Non-finite nu bounds, and a span past the largest double, are refused
+    # before numpy's linspace warns (warnings are errors here).
+    for grid in (
+        "0.2,0.8,2,0,inf,2",
+        "0.2,0.8,2,-inf,0,2",
+        "0.2,0.8,2,nan,1,2",
+        "0.2,0.8,2,0,nan,2",
+        "0.2,0.8,3,-1e308,1.7e308,3",
+    ):
+        assert run_cli("sweep", "--grid", grid, "--out", tmp_path / "x") == 2
     assert not (tmp_path / "x").exists()
+    assert "grid nu_max must be finite, got inf" in capsys.readouterr().err
 
 
 def test_law_variant_mismatch_exits_2(tmp_path):
@@ -748,6 +755,26 @@ def test_law_variant_mismatch_exits_2(tmp_path):
         tmp_path / "x",
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, flags, implied",
+    [
+        # The variant's own law.
+        ("compare", ["--rho", "0.3", "--nu", "0.7", "--variant", "cmv_only", "--t", 100],
+         ["--law", "cmv_only"]),
+        # The standard law's branch, from nu.
+        ("compare", ["--rho", SQ2, "--nu", "-pi/2", "--law", "standard", "--t", 100],
+         ["--n", 1]),
+        ("density", ["--rho", SQ2, "--nu", "-pi/2", "--law", "standard"], ["--n", 1]),
+    ],
+)
+def test_defaults_are_what_the_input_decides(tmp_path, fmt, command, flags, implied):
+    """Without ``--law`` or ``--n``, the file is the one the flag that the
+    other inputs decide writes."""
+    default = _cli_text(tmp_path, fmt, command, *flags)
+    assert default == _cli_text(tmp_path, fmt, command, *flags, *implied)
 
 
 # A config file each command runs from, before the line under test.

@@ -181,7 +181,6 @@ def test_rescaled_density_points_window_and_mass():
 def test_envelope_tracks_smoothed_simulation():
     """Limit points sit on the local average of the oscillating profile."""
     report = run_comparison(PARAMS_SPECIAL, COIN_BAL, 500, law_kind="standard")
-    assert report.smoothing_width == 5
     assert envelope_deviation(report) <= 2e-4
 
 
@@ -196,6 +195,26 @@ def test_run_comparison_report_fields():
     assert report.simulated.shape == report.positions.shape
     assert report.approx.shape == report.positions.shape
     assert report.simulated.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_run_comparison_takes_the_law_the_input_decides():
+    """Without a law kind, the variant's own; without ``n``, the standard
+    law's branch from nu.  A given kind or ``n`` is still checked."""
+    params = WalkParams(0.3, 0.7)
+    report = run_comparison(params, COIN_RIGHT, 50, variant="cmv_only")
+    assert report.law_kind == "cmv_only"
+    assert report.ks_distance == run_comparison(
+        params, COIN_RIGHT, 50, variant="cmv_only", law_kind="cmv_only"
+    ).ks_distance
+    special = WalkParams(PARAMS_SPECIAL.rho, -math.pi / 2)
+    report = run_comparison(special, COIN_BAL, 50, law_kind="standard")
+    explicit = run_comparison(special, COIN_BAL, 50, law_kind="standard", n=1)
+    np.testing.assert_array_equal(report.approx, explicit.approx)
+    assert report.moment_errors == explicit.moment_errors
+    with pytest.raises(ValueError, match="inconsistent"):
+        run_comparison(special, COIN_BAL, 50, law_kind="standard", n=0)
+    with pytest.raises(ValueError, match="does not fit"):
+        run_comparison(params, COIN_RIGHT, 50, variant="cmv_only", law_kind="theorem1")
 
 
 def test_run_comparison_validates_inputs():

@@ -22,6 +22,7 @@ from conftest import (
     branch_radicand,
     closed_form_cdf,
     extremal_momentum,
+    momentum_branch_derivative,
     phase_rotation,
     subpanel_cdf,
 )
@@ -37,7 +38,6 @@ from qwalk import (
     group_velocity,
     make_limit_law,
     momentum_branch,
-    momentum_branch_derivative,
     spectral_limit_moment,
     support_halfwidth,
     support_polynomial,
@@ -367,6 +367,15 @@ def test_make_limit_law_validates_inputs():
         make_limit_law("standard", PARAMS_CANONICAL, COIN_BAL)  # off special set
     with pytest.raises(ValueError):
         make_limit_law("standard", PARAMS_SPECIAL, COIN_BAL, n=1)  # parity
+
+
+@pytest.mark.parametrize("n, params", SPECIAL_POINTS)
+def test_standard_law_takes_its_branch_from_nu(n, params):
+    """Without ``n``, the law of the branch nu decides, bit for bit."""
+    for coin in (COIN_BAL, COIN_GEN):
+        law = make_limit_law("standard", params, coin)
+        assert law == make_limit_law("standard", params, coin, n=n)
+        assert law == make_limit_law("standard", params, coin, n=n + 2)
 
 
 @pytest.mark.parametrize("n, params", SPECIAL_POINTS)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk import render
 from qwalk.render import _decompose, render_rows
 
 FORMATS = [False, True]  # '%.17g' and json.dumps (repr when finite)
@@ -85,6 +86,28 @@ def test_floats_match_python_on_edge_values(shortest):
     values = _edge_values()
     assert _texts(values, shortest) == _python(values, shortest)
     assert _fallbacks(values, shortest) > 0
+
+
+def test_half_ulp_stays_below_the_shortest_search_bound(monkeypatch):
+    """The shortest-digit search tries 16 and 15 digits only, as v's
+    half-ulp in units of ``y`` in ``[1e16, 1e17)`` is below 2**-53 * 1e17."""
+    halves = []
+    scaled = render._scaled
+
+    def spy(m, q, k):
+        n, frac, half_ulp = scaled(m, q, k)
+        halves.append(half_ulp[(n >= 10**16) & (n < 10**17)])
+        return n, frac, half_ulp
+
+    monkeypatch.setattr(render, "_scaled", spy)
+    values = np.concatenate([_sweep_values(20_261_019), _edge_values()])
+    _decompose(values, True)
+    seen = np.concatenate(halves)
+    # Every finite normal value but the powers of two, which Python writes.
+    mantissa = values.view(np.int64) & ((1 << 52) - 1)
+    normal = np.isfinite(values) & (np.abs(values) >= 2.2250738585072014e-308)
+    assert seen.size == np.count_nonzero(normal & (mantissa != 0))
+    assert seen.max() < 11.2
 
 
 # Each example carries a subnormal and two exact 18-digit ties, one of them
