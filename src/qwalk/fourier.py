@@ -88,7 +88,8 @@ def _one_plus_minus(sin_y, cos_y):
 
 
 def _gap_parts(cos_k, sin_k, params: WalkParams):
-    """``s(k)`` and ``gap_sq = 1 - s**2`` from ``cos k`` and ``sin k``.
+    """``s(k)`` and ``sqrt(gap_sq)``, ``gap_sq = 1 - s**2``, from ``cos k``
+    and ``sin k``: the cosine and sine of the shifted symbol's eigenphase.
 
     Since ``1 = (rho - rho0)**2 + 2*rho*rho0``, the factors of
     ``gap_sq = (1 + s)(1 - s)`` are sums of nonnegative terms
@@ -107,7 +108,7 @@ def _gap_parts(cos_k, sin_k, params: WalkParams):
         part *= rr0
         part += base
     k_plus *= k_minus
-    return s, k_plus
+    return s, np.sqrt(k_plus, out=k_plus)
 
 
 def group_velocity(k, params: WalkParams):
@@ -118,8 +119,8 @@ def group_velocity(k, params: WalkParams):
     """
     k_arr = np.asarray(k, dtype=float)
     cos_k = np.cos(k_arr)
-    s, gap_sq = _gap_parts(cos_k, np.sin(k_arr), params)
-    return _like_input(k, params.rho * params.rho0 * cos_k / np.sqrt(gap_sq))
+    root = _gap_parts(cos_k, np.sin(k_arr), params)[1]
+    return _like_input(k, params.rho * params.rho0 * cos_k / root)
 
 
 def _swap_free_gap(cos_k, sin_k, params: WalkParams):
@@ -403,7 +404,6 @@ def evolve_fourier(
             # At k = pi/2 - theta, sin k = cos theta, and the coefficient
             # of U at site x is 1j**x times its DCT value at |x|, over M.
             cos_d, sin_d = _gap_parts(sin_th, cos_th, params)
-            np.sqrt(sin_d, out=sin_d)
         else:
             cos_d, sin_d = _swap_free_gap(cos_th, sin_th, params)
         _chebyshev_pair(cos_d, sin_d, t, out=coef[:, lo : lo + _PIECE])

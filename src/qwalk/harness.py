@@ -117,8 +117,10 @@ def run_comparison(
     :func:`~qwalk.fourier.evolve_fourier` refuses a negative ``t`` with a
     ``ValueError``.
     """
-    kinds = VARIANT_LAWS.get(variant, ())
-    if law_kind is None and kinds:
+    kinds = VARIANT_LAWS.get(variant)
+    if kinds is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    if law_kind is None:
         law_kind = kinds[0]
     if law_kind not in kinds:
         raise ValueError(

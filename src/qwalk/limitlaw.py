@@ -174,16 +174,6 @@ def _coin_cross(coin: CoinSpinor) -> complex:
     return coin.a0 * complex(coin.a1).conjugate()
 
 
-def _general_coefficient(params: WalkParams, coin: CoinSpinor) -> float:
-    cross = _coin_cross(coin)
-    return (
-        abs(coin.a0) ** 2
-        - abs(coin.a1) ** 2
-        - (2.0 * params.rho0 / params.rho)
-        * (cross.real * math.cos(params.nu) - cross.imag * math.sin(params.nu))
-    )
-
-
 def _edge_squares(params: WalkParams) -> tuple[float, float, float]:
     """``p = rho*rho0`` and ``(1 -/+ p)**2 - (p*sin(nu))**2``, lower first.
 
@@ -313,7 +303,9 @@ class LimitLaw:
         at NaN.
 
         The edge form over the chord ``sqrt((h* - |x|)(h* + |x|))``, a
-        product of two accurate factors.
+        product of two accurate factors, taken in units of ``2**e`` with
+        ``h* = f 2**e``, ``f`` in [0.5, 1): the power of two scales exactly,
+        and the product would underflow once ``h* < 2**-511``.
         """
         x_arr = np.asarray(x, dtype=float)
         hi = self.support_hi
@@ -321,7 +313,9 @@ class LimitLaw:
         # Outside points are evaluated at 0 and dropped, so no division
         # there can overflow or divide by zero.
         xs = np.where(inside, x_arr, 0.0)
-        chord = np.sqrt((hi - np.abs(xs)) * (hi + np.abs(xs)))
+        unit = 2.0 ** math.frexp(hi)[1]
+        ax = np.abs(xs) / unit
+        chord = np.sqrt((hi / unit - ax) * (hi / unit + ax)) * unit
         out = np.where(inside, self._edge_form(xs, chord) / chord, 0.0)
         out[np.isnan(x_arr)] = np.nan
         return _like_input(x, out)
@@ -461,7 +455,9 @@ def make_limit_law(
     base = abs(coin.a0) ** 2 - abs(coin.a1) ** 2
     if kind == "theorem1":
         support_hi = support_halfwidth(params)
-        coeff = _general_coefficient(params, coin)
+        coeff = base - (2.0 * params.rho0 / params.rho) * (
+            cross.real * math.cos(params.nu) - cross.imag * math.sin(params.nu)
+        )
     elif kind == "standard":
         branch = _special_branch_index(params)
         if branch is None:
@@ -534,7 +530,7 @@ def _spectral_nodes(
     k, weights = k.ravel(), weights.ravel() / (2.0 * np.pi)
     rr0 = params.rho * params.rho0
     cos_k, sin_k = np.cos(k), np.sin(k)
-    root = np.sqrt(_gap_parts(cos_k, sin_k, params)[1])
+    root = _gap_parts(cos_k, sin_k, params)[1]
     velocity = rr0 * cos_k / root
     a0_sq, a1_sq = abs(coin.a0) ** 2, abs(coin.a1) ** 2
     cross = _coin_cross(coin) * cmath.exp(1j * params.nu)

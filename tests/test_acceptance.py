@@ -161,8 +161,8 @@ def test_criterion_03_eigensystem_fidelity(monkeypatch):
 
     monkeypatch.setattr(limitlaw, "_panel_rule", recorded_rule)
     for params in OFF_SPECIAL_POINTS:
-        s, gap_sq = _gap_parts(np.cos(ks), np.sin(ks), params)
-        values = np.stack((1j * s + np.sqrt(gap_sq), 1j * s - np.sqrt(gap_sq)), 1)
+        s, root = _gap_parts(np.cos(ks), np.sin(ks), params)
+        values = np.stack((1j * s + root, 1j * s - root), 1)
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(values) - 1.0))))
         for k, pair in zip(ks, values):
             symbol = shifted_symbol(float(k), params)

@@ -743,6 +743,15 @@ def test_bad_grid_exits_2(tmp_path, capsys):
     assert "grid nu_max must be finite, got inf" in capsys.readouterr().err
 
 
+def test_compare_at_tiny_rho_writes_finite_values(tmp_path):
+    """At rho = 1e-300 the support half-width is about 1e-300 and its square
+    underflows; the density at x = 0 is large but finite, not inf."""
+    out = tmp_path / "tiny.csv"
+    rc = run_cli("compare", "--rho", "1e-300", "--nu", 0.7, "--t", 10, "--out", out)
+    assert rc == 0
+    assert "inf" not in out.read_text()
+
+
 def test_law_variant_mismatch_exits_2(tmp_path):
     rc = run_cli(
         "compare",

@@ -218,7 +218,7 @@ def test_run_comparison_takes_the_law_the_input_decides():
 
 
 def test_run_comparison_validates_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variant 'sideways'"):
         run_comparison(PARAMS_CANONICAL, COIN_BAL, 10, variant="sideways")
     with pytest.raises(ValueError):
         run_comparison(PARAMS_CANONICAL, COIN_BAL, 10, law_kind="cmv_only")

@@ -608,6 +608,22 @@ def test_density_keeps_its_digits_next_to_the_edges(kind, params, coin, n):
     )
 
 
+@pytest.mark.parametrize("rho", [1e-160, 1e-300])
+def test_density_keeps_its_digits_at_tiny_rho(rho):
+    """``h* density(u h*)`` depends on ``rho`` only through rounding once
+    ``h*`` is tiny: within 1e-10 relative of its value at rho = 1e-100.
+    The chord's square ``h*^2 - x^2`` underflows below h* = 2**-511, and
+    density(0) was inf at rho = 1e-300 and 5.6e-6 off at 1e-160.
+    """
+    u = np.array([0.0, 0.5, -0.5, 0.99, -0.99, 0.999999])
+
+    def scaled(rho):
+        law = make_limit_law("theorem1", WalkParams(rho, 0.7), COIN_GEN)
+        return law.support_hi * law.density(u * law.support_hi)
+
+    np.testing.assert_allclose(scaled(rho), scaled(1e-100), rtol=1e-10, atol=0.0)
+
+
 def _array_per_step_ratio(params, h, chord):
     """``_theorem1_radical_ratio`` with one new array per step.
 

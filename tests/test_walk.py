@@ -34,7 +34,12 @@ from qwalk import (
 )
 
 STEP_FUNCS = {"full": step_full, "cmv_only": step_cmv_only}
-DENSE_BUILDERS = {"full": dense_full_step_matrix, "cmv_only": dense_swap_free_matrix}
+# The band stencil of each variant, and the full step's four-factor product.
+DENSE_BUILDERS = {
+    "full": ("full", dense_full_step_matrix),
+    "cmv_only": ("cmv_only", dense_swap_free_matrix),
+    "full_factors": ("full", dense_factor_product_matrix),
+}
 
 
 def test_params_derived_quantities():
@@ -122,16 +127,18 @@ def test_single_swap_free_step_distribution():
     np.testing.assert_allclose(dist.probs, [0.25, 0.5, 0.25], atol=1e-14)
 
 
-@pytest.mark.parametrize("variant", ["full", "cmv_only"])
+@pytest.mark.parametrize("oracle", list(DENSE_BUILDERS))
 @pytest.mark.parametrize(
     "params",
     [PARAMS_SPECIAL, PARAMS_CANONICAL, WalkParams(0.6, 0.7), WalkParams(0.85, -2.1)],
 )
-def test_steps_match_dense_truncated_matrix(variant, params):
-    """t <= 12 steps agree with powers of the dense band matrix to 1e-12."""
+def test_steps_match_dense_truncated_matrix(oracle, params):
+    """t <= 12 steps agree with powers of the dense band matrix, and for the
+    full walk with powers of its four-factor product, to 1e-12."""
     t_max = 12
     span = t_max + 2
-    mat = DENSE_BUILDERS[variant](params, span)
+    variant, build = DENSE_BUILDERS[oracle]
+    mat = build(params, span)
     vec = origin_vector(COIN_GEN, span)
     state = initial_state(COIN_GEN)
     for _ in range(t_max):
