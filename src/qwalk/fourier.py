@@ -50,7 +50,8 @@ __all__ = [
 
 #: Largest step count evolve_fourier() accepts.  Its arrays grow with
 #: ``t`` and are built before any work starts: the engine peaks near 100
-#: MB RSS at t = 1e6 and 170 MB at t = 2e6 (``qwalk simulate`` near 145
+#: MB RSS at t = 1e6 and 170 MB at t = 2e6 and returns all but its result
+#: (``qwalk compare`` near 110 and 185 MB, ``qwalk simulate`` near 145
 #: and 235 MB), so a larger cap could exhaust memory where a lattice run
 #: would only be slow.
 MAX_STEPS = 2_000_000
@@ -261,6 +262,15 @@ def _split_dct1(rows: np.ndarray, nodes: np.ndarray, scratch: np.ndarray) -> np.
     the full even extension, whose rows of ``M`` floats and their spectra
     overflow a 2 MB L2 cache once ``M`` nears 2e5.  The twiddles are the
     table's first eighth, so the transform makes no trigonometric call.
+
+    Every row's inverse FFT runs before any forward FFT, and the ``L``
+    odd outputs of each (``r <= 4`` rows) are parked on ``nodes``, which
+    is overwritten once its first eighth has been copied into the scratch
+    as the twiddles; so the call builds no array.  The order is for
+    glibc, which raises its mmap threshold to the size of each mapped
+    block it frees: after the forward FFT's temporaries, the inverse FFTs'
+    would come from the heap and stay on it after the call (16 MB at
+    :data:`MAX_STEPS`), while before them they are mapped and returned.
     """
     half_m = rows.shape[1] - 1
     quarter = half_m // 2
@@ -274,9 +284,9 @@ def _split_dct1(rows: np.ndarray, nodes: np.ndarray, scratch: np.ndarray) -> np.
     ext = scratch[ends[-1] : ends[-1] + half_m]
     twiddle.real = nodes[0, 1 : eighth + 1]
     twiddle.imag = nodes[1, 1 : eighth + 1]
-    for x in rows:
-        np.add(x[: quarter + 1], x[half_m : quarter - 1 : -1], out=ext[: quarter + 1])
-        ext[quarter + 1 :] = ext[quarter - 1 : 0 : -1]
+    # The table is dead from here on: each row's odd outputs park on it.
+    odds = nodes.reshape(-1)[: len(rows) * quarter].reshape(len(rows), quarter)
+    for x, odd in zip(rows, odds):
         np.subtract(
             x[: eighth + 1], x[half_m : half_m - eighth - 1 : -1], out=wave.real
         )
@@ -286,8 +296,11 @@ def _split_dct1(rows: np.ndarray, nodes: np.ndarray, scratch: np.ndarray) -> np.
             out=wave.imag,
         )
         wave[1:] *= twiddle
+        np.fft.irfft(wave, quarter, norm="forward", out=odd)
+    for x, odd in zip(rows, odds):
+        np.add(x[: quarter + 1], x[half_m : quarter - 1 : -1], out=ext[: quarter + 1])
+        ext[quarter + 1 :] = ext[quarter - 1 : 0 : -1]
         np.fft.rfft(ext, out=spec)
-        odd = np.fft.irfft(wave, quarter, norm="forward", out=ext[:quarter])
         x[::2] = spec.real
         x[1::4] = odd[: (quarter + 1) // 2]
         x[3::4] = odd[: (quarter - 1) // 2 : -1]
@@ -313,15 +326,17 @@ def evolve_fourier(
     ``4M + 4`` floats whose first ``8t + 4`` are the amplitudes; every
     other array is a piece of at most 16384 rows (full walk, one thread
     of a 2-vCPU VM, numpy 2.4).  A call peaks about 7 MB RSS above the
-    process before it.  The amplitudes are a view into that block, so a
-    state that is kept holds only them and the few floats past them.
+    process before it, and it returns its temporaries: at
+    :data:`MAX_STEPS` the heap keeps 0.4 MB of them.  The amplitudes are
+    a view into that block, so a state that is kept holds only them and
+    the few floats past them.
 
     Returns a :class:`~qwalk.walk.WaveState` on the window ``[-t, t]``
     whose distribution matches lattice evolution within 1e-12 in total
-    variation (checked up to t = 3000) and whose amplitudes are within
-    3e-13 of the same formula in long double at t = 1e5.  This is the
-    engine behind :func:`~qwalk.harness.run_comparison` and ``qwalk
-    simulate``.
+    variation (checked up to t = 3000, and at t = 16385 in CI) and whose
+    amplitudes are within 3e-13 of the same formula in long double at
+    t = 1e5.  This is the engine behind
+    :func:`~qwalk.harness.run_comparison` and ``qwalk simulate``.
 
     Raises
     ------
@@ -349,12 +364,13 @@ def evolve_fourier(
     # larger one, and glibc then trims the heap after each call and the
     # next call faults it back in.  Regions, in floats: [0, M + 2) holds
     # the Chebyshev rows and then, in place, their DCT, [M + 2, 2M + 4) the
-    # node table and [2M + 4, 7M/2 + 8) the DCT's scratch.  The amplitudes,
-    # 4 floats a site, then take [0, 8t + 4), which fits as M >= 2t + 3:
-    # the basis row of |x| = j goes where site x = j's amplitudes will be,
-    # at [4t, 8t + 4), the left half is written below it over the dead
-    # coefficients, and the right half replaces its basis rows in place.
-    # The result keeps the block as its base.
+    # node table and then the DCT's odd outputs, and [2M + 4, 7M/2 + 8) the
+    # DCT's scratch.  The amplitudes, 4 floats a site, then take
+    # [0, 8t + 4), which fits as M >= 2t + 3: the basis row of |x| = j goes
+    # where site x = j's amplitudes will be, at [4t, 8t + 4), the left half
+    # is written below it over the dead coefficients, and the right half
+    # replaces its basis rows in place.  The result keeps the block as its
+    # base.
     block = np.empty(4 * m_count + 4)
     coef = block[: m_count + 2].reshape(2, half_m + 1)
     nodes = block[m_count + 2 : 2 * m_count + 4].reshape(2, half_m + 1)

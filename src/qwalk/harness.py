@@ -50,25 +50,49 @@ class ComparisonReport:
     approx: np.ndarray
 
 
-def empirical_moment(dist: Distribution, t: int, r: int) -> float:
-    """Moment ``sum_x (x/t)^r P(x)`` of the rescaled position, ``t >= 1``,
-    ``r`` a nonnegative integer."""
-    if t < 1:
-        raise ValueError("rescaling time must be at least 1")
-    r = _moment_order(r)
-    # One array throughout: at t = 1e5 each temporary would be 1.6 MB.
-    xs = np.arange(dist.x_min, dist.x_min + len(dist.probs), dtype=float)
+def _moment_sum(x_lo: int, probs: np.ndarray, t: int, r: int) -> float:
+    """``sum((x/t)^r * probs)`` over the sites ``x_lo, x_lo + 1, ...`` of
+    ``probs``, split where numpy's pairwise sum splits a range.
+
+    numpy sums more than 128 floats as the sum of its first ``n//2 -
+    (n//2) % 8`` and the rest, each summed the same way, so splitting
+    there down to pieces of at most :data:`~qwalk.fourier._PIECE` and
+    summing each with ``np.sum`` adds the same floats in the same order.
+    """
+    n = len(probs)
+    if n > _PIECE:
+        half = n // 2 - (n // 2) % 8
+        return _moment_sum(x_lo, probs[:half], t, r) + _moment_sum(
+            x_lo + half, probs[half:], t, r
+        )
+    # One array throughout: at the largest piece each temporary would be
+    # 128 kB.
+    xs = np.arange(x_lo, x_lo + n, dtype=float)
     xs /= t
     if r == 2:
         np.square(xs, out=xs)
     elif r != 1:
         np.power(xs, r, out=xs)
-    xs *= dist.probs
+    xs *= probs
     return float(np.sum(xs))
 
 
+def empirical_moment(dist: Distribution, t: int, r: int) -> float:
+    """Moment ``sum_x (x/t)^r P(x)`` of the rescaled position, ``t >= 1``,
+    ``r`` a nonnegative integer.
+
+    The sum runs in pieces of at most 16384 sites, cut where numpy's
+    pairwise sum cuts the window, so it is the float ``np.sum`` gives
+    over the whole window, and nothing of the window's length is built.
+    """
+    if t < 1:
+        raise ValueError("rescaling time must be at least 1")
+    return _moment_sum(dist.x_min, dist.probs, t, _moment_order(r))
+
+
 def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
-    """Sup over the real line of ``|F_empirical(x) - F_limit(x/t)|``.
+    """Largest ``|F_empirical(x) - F_limit(x/t)|`` over the sites, with
+    ``F_limit`` interpolated linearly in the law's 8193-node table.
 
     With nonnegative masses the empirical CDF only steps up, so it is
     furthest above the monotone limit CDF at a site's right limit and
@@ -78,6 +102,12 @@ def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
     seeded with the mass before it, so every value is the float a
     cumulative sum over the whole window gives, and nothing of the
     window's length is built.
+
+    The table is not the CDF between its nodes, so this is not quite the
+    sup of the exact CDF's deviation: over 15 laws at t = 1, 2, 3, 100,
+    2000, 16385 and 1e5, the exact sup minus this value ran from -2.6e-8
+    to +1.4e-5, and was the larger in 70 of the 105 cases (ROADMAP item
+    1).
     """
     if t < 1:
         raise ValueError("rescaling time must be at least 1")

@@ -49,12 +49,22 @@ def _reference_empirical_moment(dist, t, r):
     return float(np.sum(xs**r * dist.probs))
 
 
-@pytest.mark.parametrize("params", [PARAMS_CANONICAL, WalkParams(0.3, -2.0)])
+@pytest.mark.parametrize("params", [PARAMS_CANONICAL, WalkParams(0.3, -2.0), None])
 def test_empirical_moment_in_place_changes_no_bit(params):
-    """Scaling, raising and weighting in one array leaves every bit as the
-    array-per-step form gives it, pairwise sum included."""
-    for t in (1, 7, 2000, 100_000):
-        dist = distribution(evolve_fourier(COIN_BAL, params, t))
+    """Scaling, raising and weighting in one array, a piece at a time,
+    leaves every bit as the array-per-step form over the whole window gives
+    it, pairwise sum included.  Windows of 2t + 1 sites lie inside one
+    piece, cross into a second (t = P/2, P) or span several; ``None`` stands
+    for 4 000 001 seeded random masses, many pieces deep without evolving."""
+    if params is None:
+        probs = np.random.default_rng(4_000_001).random(4_000_001)
+        cases = [(Distribution(x_min=-2_000_000, probs=probs), 2_000_000)]
+    else:
+        cases = [
+            (distribution(evolve_fourier(COIN_BAL, params, t)), t)
+            for t in (1, 7, 2000, _PIECE // 2, _PIECE, 3 * _PIECE + 5, 100_000)
+        ]
+    for dist, t in cases:
         for r in range(6):
             assert empirical_moment(dist, t, r) == _reference_empirical_moment(
                 dist, t, r
@@ -137,19 +147,26 @@ def test_scans_in_pieces_equal_whole_window_scans(
 
 
 def test_kolmogorov_distance_allocation_at_depth():
-    """At t = 1e5 the scan allocates under 1 MB: its arrays are pieces,
-    none as long as the window (1.6 MB a float array)."""
+    """At t = 1e5 the scan and the moments r = 1, 2, 3 each allocate
+    under 1 MB: their arrays are pieces, none as long as the window
+    (1.6 MB a float array)."""
     t = 100_000
     law = make_limit_law("theorem1", PARAMS_CANONICAL, COIN_BAL)
     dist = distribution(evolve_fourier(COIN_BAL, PARAMS_CANONICAL, t))
     assert law._cdf_table  # built before tracing: the law caches it
+    scores = [lambda: kolmogorov_distance(dist, t, law)] + [
+        lambda r=r: empirical_moment(dist, t, r) for r in (1, 2, 3)
+    ]
+    peaks = []
     tracemalloc.start()
     try:
-        kolmogorov_distance(dist, t, law)
-        peak = tracemalloc.get_traced_memory()[1]
+        for score in scores:
+            tracemalloc.reset_peak()
+            score()
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak < 1e6
+    assert max(peaks) < 1e6, peaks
 
 
 def test_kolmogorov_distance_decreases_along_time():
