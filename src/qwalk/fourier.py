@@ -42,6 +42,7 @@ import math
 import numpy as np
 
 from .walk import VARIANTS, CoinSpinor, WalkParams, WaveState, initial_state
+from .walk import _count, _variant
 
 __all__ = [
     "group_velocity",
@@ -341,21 +342,22 @@ def evolve_fourier(
     Raises
     ------
     ValueError
-        If ``t`` is negative or above :data:`MAX_STEPS`, or the variant
-        is not one of :data:`~qwalk.walk.VARIANTS`; both before any array
-        of size ``M`` is built.  ``coin`` has unit norm:
+        If ``t`` is not an integer (numpy integers are) in ``[0,``
+        :data:`MAX_STEPS`], the variant is not one of
+        :data:`~qwalk.walk.VARIANTS`, or ``|nu| > 2**1000`` (where
+        :func:`_unit_phases` would overflow), all before any array of
+        size ``M`` is built.  ``coin`` has unit norm:
         :class:`~qwalk.walk.CoinSpinor` refuses any other.
     """
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
+    t = _count(t, "step count")
+    full_walk = _variant(variant) == VARIANTS[0]
     if t > MAX_STEPS:
         raise ValueError(f"step count {t} exceeds the limit of {MAX_STEPS}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    if abs(params.nu) > 2.0**1000:
+        raise ValueError(f"nu {params.nu!r} exceeds the engine's limit of 2**1000")
     if t == 0:
         return initial_state(coin)
 
-    full_walk = variant == VARIANTS[0]
     m_count = _node_count(t)
     half_m = m_count // 2
     n_sites = 2 * t + 1

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import _PIECE, evolve_fourier
-from .limitlaw import VARIANT_LAWS, LimitLaw, _moment_order, make_limit_law
+from .limitlaw import VARIANT_LAWS, LimitLaw, make_limit_law
 from .walk import VARIANTS, CoinSpinor, Distribution, WalkParams, distribution
+from .walk import _count, _variant
 
 __all__ = [
     "ComparisonReport",
@@ -78,21 +79,21 @@ def _moment_sum(x_lo: int, probs: np.ndarray, t: int, r: int) -> float:
 
 
 def empirical_moment(dist: Distribution, t: int, r: int) -> float:
-    """Moment ``sum_x (x/t)^r P(x)`` of the rescaled position, ``t >= 1``,
-    ``r`` a nonnegative integer.
+    """Moment ``sum_x (x/t)^r P(x)`` of the rescaled position, ``t`` a
+    positive and ``r`` a nonnegative integer, numpy integers included.
 
     The sum runs in pieces of at most 16384 sites, cut where numpy's
     pairwise sum cuts the window, so it is the float ``np.sum`` gives
     over the whole window, and nothing of the window's length is built.
     """
-    if t < 1:
-        raise ValueError("rescaling time must be at least 1")
-    return _moment_sum(dist.x_min, dist.probs, t, _moment_order(r))
+    t = _count(t, "rescaling time", least=1)
+    return _moment_sum(dist.x_min, dist.probs, t, _count(r, "moment order"))
 
 
 def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
-    """Largest ``|F_empirical(x) - F_limit(x/t)|`` over the sites, with
-    ``F_limit`` interpolated linearly in the law's 8193-node table.
+    """Largest ``|F_empirical(x) - F_limit(x/t)|`` over the sites, ``t`` a
+    positive integer (numpy integers included), with ``F_limit``
+    interpolated linearly in the law's 8193-node table.
 
     With nonnegative masses the empirical CDF only steps up, so it is
     furthest above the monotone limit CDF at a site's right limit and
@@ -109,8 +110,7 @@ def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
     to +1.4e-5, and was the larger in 70 of the 105 cases (ROADMAP item
     1).
     """
-    if t < 1:
-        raise ValueError("rescaling time must be at least 1")
+    t = _count(t, "rescaling time", least=1)
     xs_grid, cdf_grid = law._cdf_table
     mass, above, below = 0.0, -np.inf, np.inf
     for lo in range(0, len(dist.probs), _PIECE):
@@ -142,14 +142,12 @@ def run_comparison(
     to within 1e-12 in total variation at O(t log t) cost.  The law kind
     must match the variant (``theorem1``/``standard`` for the full walk,
     ``cmv_only`` for the swap-free walk); by default it is the variant's
-    first.  ``n`` goes to :func:`~qwalk.limitlaw.make_limit_law`.  ``t =
-    0`` is allowed and degenerates to rescaling by 1;
-    :func:`~qwalk.fourier.evolve_fourier` refuses a negative ``t`` with a
-    ``ValueError``.
+    first.  ``n`` goes to :func:`~qwalk.limitlaw.make_limit_law`.  ``t``
+    is a nonnegative integer (numpy integers too; the report holds an
+    ``int``), refused otherwise by :func:`~qwalk.fourier.evolve_fourier`;
+    ``t = 0`` degenerates to rescaling by 1.
     """
-    kinds = VARIANT_LAWS.get(variant)
-    if kinds is None:
-        raise ValueError(f"unknown variant {variant!r}")
+    kinds = VARIANT_LAWS[_variant(variant)]
     if law_kind is None:
         law_kind = kinds[0]
     if law_kind not in kinds:
@@ -158,7 +156,8 @@ def run_comparison(
             f" the pairs are {VARIANT_LAWS}"
         )
     law = make_limit_law(law_kind, params, coin, n=n)
-    dist = distribution(evolve_fourier(coin, params, t, variant=variant))
+    state = evolve_fourier(coin, params, t, variant=variant)
+    t, dist = state.time, distribution(state)
     scale = max(t, 1)
     ks = kolmogorov_distance(dist, scale, law)
     errors = tuple(

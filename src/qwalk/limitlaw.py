@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .fourier import _gap_parts, _like_input
-from .walk import CoinSpinor, WalkParams
+from .walk import CoinSpinor, WalkParams, _count
 
 __all__ = [
     "LAW_KINDS",
@@ -133,14 +132,6 @@ _NODE_LEGENDRE = _legendre_table(_LEGENDRE_NODES, 15)[1:]
 # The Kolmogorov table steps 128 times per panel, uniformly in theta.
 _TABLE_SHARES = _left_shares(np.arange(128) / 64.0 - 1.0)
 _TABLE_SINES = np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, _PANELS * 128 + 1))
-
-
-def _moment_order(r) -> int:
-    """``r`` as an ``int``; ``ValueError`` unless a nonnegative integer, as a
-    fractional power of a negative position or velocity is NaN."""
-    if not hasattr(r, "__index__") or operator.index(r) < 0:
-        raise ValueError("moment order must be a nonnegative integer")
-    return operator.index(r)
 
 
 class OutOfSupportError(ValueError):
@@ -365,7 +356,7 @@ class LimitLaw:
     def moment(self, r: int) -> float:
         """r-th moment of the law, ``r`` a nonnegative integer; the nodes'
         powers by repeated multiplication, for ``r <= 2`` exactly ``xs**r``."""
-        r = _moment_order(r)
+        r = _count(r, "moment order")
         xs, weighted, _ = self._weighted_nodes
         power = np.ones_like(xs)
         for _ in range(r):
@@ -561,7 +552,7 @@ def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float
     quadrature route, which it cross-checks.  The node arrays are
     computed once per ``(params, coin)`` and kept in a small cache.
     """
-    r = _moment_order(r)
+    r = _count(r, "moment order")
     velocity, weight_plus, weight_minus = _spectral_nodes(params, coin)
     plus = np.dot((-velocity) ** r, weight_plus)
     return float(plus + np.dot(velocity**r, weight_minus))

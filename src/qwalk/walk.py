@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +101,8 @@ class CoinSpinor:
             )
 
     def norm_sq(self) -> float:
-        return abs(self.a0) ** 2 + abs(self.a1) ** 2
+        # Products: ``abs(a) ** 2`` raises OverflowError where they are inf.
+        return sum(a.real * a.real + a.imag * a.imag for a in (self.a0, self.a1))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a0, self.a1], dtype=np.complex128)
@@ -119,15 +121,8 @@ class WaveState:
     x_min: int
     amps: np.ndarray
 
-    @property
-    def x_max(self) -> int:
-        return self.x_min + len(self.amps) - 1
-
     def positions(self) -> np.ndarray:
         return np.arange(self.x_min, self.x_min + len(self.amps))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +137,15 @@ class Distribution:
 
     def total(self) -> float:
         return float(np.sum(self.probs))
+
+
+def _count(value, what: str, least: int = 0) -> int:
+    """``value`` (a step count, moment order or rescaling time) as an
+    ``int``; ``ValueError`` unless an integer of at least ``least``, 0 or 1."""
+    if hasattr(value, "__index__") and operator.index(value) >= least:
+        return operator.index(value)
+    kind = "positive" if least else "nonnegative"
+    raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
 
 
 def initial_state(coin: CoinSpinor) -> WaveState:
@@ -191,6 +195,13 @@ _STEP_FUNCS = {"full": step_full, "cmv_only": step_cmv_only}
 VARIANTS = tuple(_STEP_FUNCS)
 
 
+def _variant(variant: str) -> str:
+    """``variant``; ``ValueError`` unless one of :data:`VARIANTS`."""
+    if variant in VARIANTS:
+        return variant
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def evolve(
     coin: CoinSpinor, params: WalkParams, t: int, variant: str = VARIANTS[0]
 ) -> WaveState:
@@ -203,7 +214,7 @@ def evolve(
     params:
         Walk parameters.
     t:
-        Number of steps, ``t >= 0``.
+        Number of steps, a nonnegative integer (numpy integers too).
     variant:
         One of :data:`VARIANTS`: ``full`` for the complete walk or
         ``cmv_only`` for the variant without the per-site component swap.
@@ -219,12 +230,8 @@ def evolve(
     :func:`qwalk.fourier.evolve_fourier`, and the tests keep this one as
     its reference.
     """
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
-    try:
-        step = _STEP_FUNCS[variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
+    t = _count(t, "step count")
+    step = _STEP_FUNCS[_variant(variant)]
     state = initial_state(coin)
     for _ in range(t):
         state = step(state, params)

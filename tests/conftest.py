@@ -327,7 +327,7 @@ def dense_factor_product_matrix(params: WalkParams, span: int) -> np.ndarray:
 
 def embed_state(state: WaveState, span: int) -> np.ndarray:
     """Interleaved amplitude vector of a WaveState on [-span, span]."""
-    if state.x_min < -span or state.x_max > span:
+    if state.x_min < -span or state.x_min + len(state.amps) - 1 > span:
         raise ValueError("window too small to embed the state")
     vec = np.zeros(2 * (2 * span + 1), dtype=np.complex128)
     for i, x in enumerate(state.positions()):

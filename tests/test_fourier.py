@@ -254,6 +254,21 @@ def test_evolve_fourier_rejects_bad_arguments():
         CoinSpinor(1.0, 1.0)
 
 
+@pytest.mark.parametrize("variant", ["full", "cmv_only"])
+def test_evolve_fourier_phases_nu_up_to_its_bound(variant):
+    """At |nu| = 2**1000 the engine matches the lattice; past it it refuses
+    ``nu``, as from |nu| near 4.3e301 the split of ``nu`` in
+    ``_unit_phases`` overflows and every amplitude would be NaN."""
+    for nu in (2.0**1000, -(2.0**1000)):
+        params = WalkParams(0.6, nu)
+        got = distribution(evolve_fourier(COIN_GEN, params, 200, variant=variant))
+        want = distribution(evolve(COIN_GEN, params, 200, variant=variant))
+        assert 0.5 * np.sum(np.abs(got.probs - want.probs)) <= 1e-12
+    for nu in (4.3e301, -1e308):
+        with pytest.raises(ValueError, match="nu"):
+            evolve_fourier(COIN_GEN, WalkParams(0.6, nu), 5, variant=variant)
+
+
 @pytest.mark.parametrize(
     "params, coin, variant",
     [

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import (
     COIN_BAL,
+    COIN_GEN,
     COIN_RIGHT,
     PARAMS_SPECIAL,
     PARAMS_CANONICAL,
@@ -29,6 +31,7 @@ from qwalk import (
     run_comparison,
     support_halfwidth,
 )
+from qwalk.walk import WaveState
 from qwalk.fourier import _PIECE
 
 
@@ -245,6 +248,64 @@ def test_run_comparison_validates_inputs():
         )
     with pytest.raises(ValueError):
         run_comparison(PARAMS_CANONICAL, COIN_BAL, -1)
+
+
+# The three entry points that take a step count and a variant.
+ENTRY_POINTS = {
+    "evolve": lambda t, v: evolve(COIN_GEN, PARAMS_CANONICAL, t, variant=v),
+    "evolve_fourier": lambda t, v: evolve_fourier(
+        COIN_GEN, PARAMS_CANONICAL, t, variant=v
+    ),
+    "run_comparison": lambda t, v: run_comparison(
+        PARAMS_CANONICAL, COIN_GEN, t, variant=v
+    ),
+}
+
+
+def _time_and_values(out):
+    """The time an entry point's result carries, and its numbers."""
+    if isinstance(out, WaveState):
+        return out.time, [out.amps]
+    numbers = np.array([out.ks_distance, *(e for _, e in out.moment_errors)])
+    return out.t, [out.positions, out.simulated, out.approx, numbers]
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("variant", ["full", "cmv_only"])
+def test_step_counts_pass_one_gate(entry, variant):
+    """A numpy integer step count gives the plain int's bits, ``True`` an int
+    time of 1, and a float, string or negative count a ValueError."""
+    run = ENTRY_POINTS[entry]
+    time, values = _time_and_values(run(np.int64(37), variant))
+    want_time, want = _time_and_values(run(37, variant))
+    assert type(time) is int and time == want_time == 37
+    for got, expected in zip(values, want, strict=True):
+        np.testing.assert_array_equal(got, expected, strict=True)
+    time, _ = _time_and_values(run(True, variant))
+    assert type(time) is int and time == 1
+    for bad in (2.5, np.float64(5.0), "5", -1):
+        with pytest.raises(ValueError, match="step count"):
+            run(bad, variant)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 2.5, 0])
+def test_rescaling_times_pass_one_gate(scale):
+    """``nan < 1`` is false, so a NaN time passing a plain comparison would
+    give a Kolmogorov distance of -inf and a NaN moment."""
+    law = make_limit_law("theorem1", PARAMS_CANONICAL, COIN_BAL)
+    dist = distribution(evolve(COIN_BAL, PARAMS_CANONICAL, 5))
+    with pytest.raises(ValueError, match="rescaling time"):
+        kolmogorov_distance(dist, scale, law)
+    with pytest.raises(ValueError, match="rescaling time"):
+        empirical_moment(dist, scale, 1)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("variant", ["sideways", ["full"]], ids=["name", "list"])
+def test_variants_pass_one_gate(entry, variant):
+    """An unhashable variant is refused alike, not with a TypeError."""
+    with pytest.raises(ValueError, match=re.escape(f"unknown variant {variant!r}")):
+        ENTRY_POINTS[entry](5, variant)
 
 
 def test_run_comparison_accepts_time_zero():

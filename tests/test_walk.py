@@ -84,6 +84,14 @@ def test_coin_spinor_rejects_non_finite_amplitudes(a0, a1):
         CoinSpinor(a0, a1)
 
 
+@pytest.mark.parametrize("a0", [1e200, complex(1e300, 1e300), complex(0.0, 1e155)])
+def test_coin_spinor_refuses_overflowing_amplitudes(a0):
+    """Finite amplitudes whose squares overflow fail the norm check with a
+    ValueError; ``abs(a) ** 2`` would raise OverflowError."""
+    with pytest.raises(ValueError, match="unit norm"):
+        CoinSpinor(a0, 0.0)
+
+
 def test_coin_spinor_norm_and_array():
     assert COIN_BAL.norm_sq() == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(
@@ -94,7 +102,7 @@ def test_coin_spinor_norm_and_array():
 def test_initial_state_is_point_mass():
     state = initial_state(COIN_RIGHT)
     assert state.time == 0
-    assert state.x_min == 0 and state.x_max == 0
+    assert state.x_min == 0 and len(state.amps) == 1
     np.testing.assert_allclose(state.amps, [[1.0, 0.0]], atol=0.0)
 
 
@@ -187,13 +195,13 @@ def test_step_full_equals_swap_free_of_swapped_state():
 @pytest.mark.parametrize("variant", ["full", "cmv_only"])
 def test_norm_preserved_over_hundred_steps(variant):
     state = evolve(COIN_BAL, WalkParams(0.3, 1.1), 100, variant=variant)
-    assert abs(state.norm_sq() - 1.0) < 1e-12
+    assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("variant", ["full", "cmv_only"])
 def test_support_window_after_t_steps(variant):
     state = evolve(COIN_RIGHT, WalkParams(0.7, -0.4), 9, variant=variant)
-    assert state.x_min == -9 and state.x_max == 9
+    assert state.x_min == -9 and state.x_min + len(state.amps) - 1 == 9
     assert state.time == 9
 
 
