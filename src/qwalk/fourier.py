@@ -24,10 +24,11 @@ Conventions used throughout:
   at neighbouring sites.  Those are even trigonometric polynomials of
   degree < t, so a type-I DCT over ``M >= 2*t + 3`` equispaced nodes
   gives them exactly, and the result matches lattice evolution to
-  rounding.  The DCT is split into a real FFT of length ``M/2`` for the
-  even coefficients and an inverse real FFT of length ``M/4`` for the
-  odd ones, and the nodes' cosines and sines, which are also its
-  twiddles, come from one eighth of a period.  Sites ``x`` and ``-x`` read
+  rounding.  The DCT is split twice: inverse real FFTs of lengths
+  ``M/4`` and ``M/8`` give the odd coefficients and those of the form
+  ``4i + 2``, and a real FFT of length ``M/4`` the multiples of 4.  The
+  nodes' cosines and sines, which are also its twiddles, come from one
+  eighth of a period.  Sites ``x`` and ``-x`` read
   the same four coefficients, so one basis over ``|x| <= t`` serves
   both halves, and the site phase ``exp(1j*nu*x)`` with its powers of
   ``1j`` is an outer product of about ``sqrt(t)`` block phases and as
@@ -164,12 +165,13 @@ def _node_count(t: int) -> int:
 
     ``M >= 2t + 3`` makes the discrete Fourier sums exact; ``M`` is a
     multiple of 4, so the nodes ``theta`` of the full walk's substitution
-    ``k = pi/2 - theta`` are momentum nodes as well; and ``M/4`` is the
-    least integer with only the prime factors 2, 3 and 5 that is large
-    enough, so the real FFT of length ``M`` stays fast with at most a
-    few percent more nodes than needed (202 500 at t = 1e5).
+    ``k = pi/2 - theta`` are momentum nodes as well, and of 8, so
+    :func:`_split_dct1` can split its even half a second time; and
+    ``M/8`` is the least integer with only the prime factors 2, 3 and 5
+    that is large enough, so the real FFTs stay fast with at most a few
+    percent more nodes than needed (204 800 at t = 1e5).
     """
-    return 4 * _next_5_smooth(-(-(2 * t + 3) // 4))
+    return 8 * _next_5_smooth(-(-(2 * t + 3) // 8))
 
 
 def _unit_phases(nu: float, m: np.ndarray) -> np.ndarray:
@@ -226,9 +228,9 @@ def _node_table(m_count: int, out: np.ndarray) -> np.ndarray:
     the nodes up to ``pi/4`` (``j <= M/8``) call ``cos`` and ``sin``; the
     others are exact copies by ``pi/2 - theta_j = theta_(M/4 - j)`` and
     ``pi - theta_j = theta_(M/2 - j)``.  That is a quarter of the calls,
-    and every node stays within 1.6e-16 of its true value, where the
-    rounding of angles up to ``pi`` puts direct calls up to 5.6e-16 off
-    (``M = 202500``).
+    and every node stays within 1.3e-16 of its true value, where the
+    rounding of angles up to ``pi`` puts direct calls up to 3.8e-16 off
+    (``M = 204800``).
     """
     cos_th, sin_th = out
     quarter = m_count // 4
@@ -244,29 +246,50 @@ def _node_table(m_count: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _odd_outputs(y, wave, twiddle, out) -> None:
+    """Odd outputs of the DCT-I of ``y`` (``2n + 1`` points) into ``out``.
+
+    Makhoul's split: the inverse real FFT of length ``n = len(out)`` of
+    ``W_k = exp(1j*pi*k/(2n)) (z_k - 1j*z_(n-k))``, ``z_j = y_j - y_(2n-j)``,
+    built on the first ``n//2 + 1`` entries of ``wave``, with the twiddles
+    for ``k = 1..n//2`` in ``twiddle``.  Output ``2i + 1`` is ``out[i/2]``
+    for even ``i`` and ``out[n - 1 - (i - 1)/2]`` for odd ``i``.
+    """
+    n = len(out)
+    h = n // 2
+    w = wave[: h + 1]
+    np.subtract(y[: h + 1], y[2 * n : 2 * n - h - 1 : -1], out=w.real)
+    np.subtract(y[n : n + h + 1], y[n : n - h - 1 : -1], out=w.imag)
+    w[1:] *= twiddle
+    np.fft.irfft(w, n, norm="forward", out=out)
+
+
 def _split_dct1(rows: np.ndarray, nodes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Type-I DCT of each row of ``rows`` (shape ``(r, N + 1)``), in place.
+    """Type-I DCT of each row of ``rows`` (shape ``(r, N + 1)``, ``r <= 2``), in place.
 
-    ``N = M/2`` with ``M`` a multiple of 4, ``nodes`` is the
+    ``N = M/2`` with ``M`` a multiple of 8, ``nodes`` is the
     :func:`_node_table` of ``M``, and ``scratch`` is a float array of at
-    least ``3*M/2 + 4`` elements.  With ``L = M/4`` and ``x`` a row:
+    least ``M + 4`` elements.  With ``L = M/4`` and ``x`` a row, Makhoul's
+    split (IEEE TASSP 28(1), 1980) is applied twice.  The odd outputs come
+    from an inverse real FFT of length ``L`` (:func:`_odd_outputs`).  The
+    even outputs are the DCT-I of the fold ``f_j = x_j + x_(N-j)`` over
+    ``L + 1`` points, split once more: its odd outputs, ``x[2::4]``, come
+    from an inverse real FFT of length ``L/2`` whose twiddles are every
+    other one of the first level's, and its even outputs, ``x[::4]``, are
+    the real part of the real FFT of length ``L`` of the even extension
+    of ``f_j + f_(L-j)``.
 
-    * the even outputs are the DCT-I of the fold ``x_j + x_(N-j)`` over
-      ``L + 1`` points, the real part of the real FFT of its even
-      extension to ``N`` points;
-    * the odd outputs are the DCT-III of ``z_j = x_j - x_(N-j)`` over ``L``
-      points (Makhoul, IEEE TASSP 28(1), 1980): the inverse real FFT of
-      length ``L`` of ``W_k = exp(2j*pi*k/M) (z_k - 1j*z_(L-k))``
-      (``z_L = 0``), read in the order ``v[0], v[L-1], v[1], v[L-2], ...``.
+    Each transform is a quarter or an eighth the length of the real FFT
+    of the full even extension, whose rows of ``M`` floats and their
+    spectra overflow a 2 MB L2 cache once ``M`` nears 2e5.  The twiddles
+    are the table's first eighth, so the transform makes no
+    trigonometric call.
 
-    Both transforms are half and a quarter the length of the real FFT of
-    the full even extension, whose rows of ``M`` floats and their spectra
-    overflow a 2 MB L2 cache once ``M`` nears 2e5.  The twiddles are the
-    table's first eighth, so the transform makes no trigonometric call.
-
-    Every row's inverse FFT runs before any forward FFT, and the ``L``
-    odd outputs of each (``r <= 4`` rows) are parked on ``nodes``, which
-    is overwritten once its first eighth has been copied into the scratch
+    Every inverse FFT, of both levels and both rows, runs before any
+    forward FFT.  Each row's fold is written over ``x[:L + 1]``, and the
+    inverse FFTs' outputs, ``L`` and ``L/2`` floats a row, are parked on
+    ``nodes`` (``3L`` of its ``4L + 2`` floats for two rows), which is
+    overwritten once its first eighth has been copied into the scratch
     as the twiddles; so the call builds no array.  The order is for
     glibc, which raises its mmap threshold to the size of each mapped
     block it frees: after the forward FFT's temporaries, the inverse FFTs'
@@ -276,35 +299,37 @@ def _split_dct1(rows: np.ndarray, nodes: np.ndarray, scratch: np.ndarray) -> np.
     half_m = rows.shape[1] - 1
     quarter = half_m // 2
     eighth = quarter // 2
-    # Scratch, in floats: the fold's spectrum, W, the twiddles
-    # exp(2j*pi*k/M) for k = 1..M/8 (W_0 = z_0 needs none), the fold.
-    ends = (0, half_m + 2, half_m + 2 * eighth + 4, half_m + 4 * eighth + 4)
+    # Scratch, in floats: the second fold's spectrum, W, the twiddles
+    # exp(2j*pi*k/M) for k = 1..M/8 (W_0 = z_0 needs none), the second
+    # fold's even extension.
+    ends = (0, quarter + 2, quarter + 2 * eighth + 4, quarter + 4 * eighth + 4)
     spec, wave, twiddle = (
         scratch[lo:hi].view(np.complex128) for lo, hi in zip(ends, ends[1:])
     )
-    ext = scratch[ends[-1] : ends[-1] + half_m]
+    ext = scratch[ends[-1] : ends[-1] + quarter]
     twiddle.real = nodes[0, 1 : eighth + 1]
     twiddle.imag = nodes[1, 1 : eighth + 1]
-    # The table is dead from here on: each row's odd outputs park on it.
-    odds = nodes.reshape(-1)[: len(rows) * quarter].reshape(len(rows), quarter)
-    for x, odd in zip(rows, odds):
-        np.subtract(
-            x[: eighth + 1], x[half_m : half_m - eighth - 1 : -1], out=wave.real
-        )
-        np.subtract(
-            x[quarter : quarter + eighth + 1],
-            x[quarter : quarter - eighth - 1 : -1],
-            out=wave.imag,
-        )
-        wave[1:] *= twiddle
-        np.fft.irfft(wave, quarter, norm="forward", out=odd)
-    for x, odd in zip(rows, odds):
-        np.add(x[: quarter + 1], x[half_m : quarter - 1 : -1], out=ext[: quarter + 1])
-        ext[quarter + 1 :] = ext[quarter - 1 : 0 : -1]
+    # The table is dead from here on: the inverse FFTs' outputs park on it.
+    n_rows = len(rows)
+    parked = nodes.reshape(-1)
+    odds = parked[: n_rows * quarter].reshape(n_rows, quarter)
+    odds2 = parked[odds.size : odds.size + n_rows * eighth].reshape(n_rows, eighth)
+    for x, odd, odd2 in zip(rows, odds, odds2):
+        _odd_outputs(x, wave, twiddle, odd)
+        # The fold, f_L = 2 x_L, whose own odd outputs take every other
+        # twiddle.
+        np.add(x[:quarter], x[half_m:quarter:-1], out=x[:quarter])
+        x[quarter] *= 2.0
+        _odd_outputs(x[: quarter + 1], wave, twiddle[1::2], odd2)
+    for x, odd, odd2 in zip(rows, odds, odds2):
+        np.add(x[: eighth + 1], x[quarter : eighth - 1 : -1], out=ext[: eighth + 1])
+        ext[eighth + 1 :] = ext[eighth - 1 : 0 : -1]
         np.fft.rfft(ext, out=spec)
-        x[::2] = spec.real
-        x[1::4] = odd[: (quarter + 1) // 2]
-        x[3::4] = odd[: (quarter - 1) // 2 : -1]
+        x[::4] = spec.real
+        x[2::8] = odd2[: (eighth + 1) // 2]
+        x[6::8] = odd2[: (eighth - 1) // 2 : -1]
+        x[1::4] = odd[:eighth]
+        x[3::4] = odd[: eighth - 1 : -1]
     return rows
 
 
@@ -318,12 +343,12 @@ def evolve_fourier(
     ``U_t``, ``U_(t-1)`` depend on the momentum only through ``sin k``
     (full walk, ``sigma = 1j``) or ``cos k`` (swap-free walk,
     ``sigma = 1``).  Their Fourier coefficients are the type-I DCT of
-    each row over ``M/2 + 1`` nodes (``M >= 2t + 3``, a multiple of 4
+    each row over ``M/2 + 1`` nodes (``M >= 2t + 3``, a multiple of 8
     with small prime factors), computed by :func:`_split_dct1` from
-    real FFTs of lengths ``M/2`` and ``M/4`` on the
+    real FFTs of lengths ``M/4`` and ``M/8`` on the
     :func:`_node_table`; each site then combines them with the three
-    harmonics of ``A v``.  At t = 1e5 this takes about 15 ms and
-    allocates at most 7.2 MB in all, 6.5 MB of which is one block of
+    harmonics of ``A v``.  At t = 1e5 this takes about 11 ms and
+    allocates at most 7.3 MB in all, 6.6 MB of which is one block of
     ``4M + 4`` floats whose first ``8t + 4`` are the amplitudes; every
     other array is a piece of at most 16384 rows (full walk, one thread
     of a 2-vCPU VM, numpy 2.4).  A call peaks about 7 MB RSS above the
@@ -366,7 +391,7 @@ def evolve_fourier(
     # larger one, and glibc then trims the heap after each call and the
     # next call faults it back in.  Regions, in floats: [0, M + 2) holds
     # the Chebyshev rows and then, in place, their DCT, [M + 2, 2M + 4) the
-    # node table and then the DCT's odd outputs, and [2M + 4, 7M/2 + 8) the
+    # node table and then the DCT's parked outputs, and [2M + 4, 3M + 8) the
     # DCT's scratch.  The amplitudes, 4 floats a site, then take
     # [0, 8t + 4), which fits as M >= 2t + 3: the basis row of |x| = j goes
     # where site x = j's amplitudes will be, at [4t, 8t + 4), the left half

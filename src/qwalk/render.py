@@ -69,6 +69,8 @@ def _tables() -> tuple[np.ndarray, ...]:
     ``uint32`` each, then the same with trailing zeros as NUL, then with
     leading zeros as NUL (but the last); "", "0.", ..., "0.000" and the
     same after "-"; the exponent texts of ``_EXP_MIN`` to 330, then "".
+    Each head and exponent text is one ``uint64`` word, as it lies in the
+    first and the last 8 bytes of a float's slot.
     """
     rows = []
     for p in range(_P_MIN, _P_MAX + 1):
@@ -110,15 +112,18 @@ def _tables() -> tuple[np.ndarray, ...]:
         h3,
         g.astype(np.int64),
         quads.view(np.uint32).ravel(),
-        _text_rows(prefixes + ["-" + p for p in prefixes], _HEAD),
-        _text_rows([f"e{x:+03d}" for x in range(_EXP_MIN, 331)] + [""], _EXPONENT),
+        _text_words(prefixes + ["-" + p for p in prefixes], 0),
+        _text_words(
+            [f"e{x:+03d}" for x in range(_EXP_MIN, 331)] + [""], 8 - _EXPONENT
+        ),
     )
 
 
-def _text_rows(texts: list[str], width: int) -> np.ndarray:
-    """The ASCII bytes of each text, one NUL-padded row each."""
-    data = b"".join(text.encode().ljust(width, b"\0") for text in texts)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)
+def _text_words(texts: list[str], start: int) -> np.ndarray:
+    """The ASCII bytes of each text from byte ``start`` of an 8-byte word,
+    NUL elsewhere, one ``uint64`` each."""
+    data = b"".join((bytes(start) + text.encode()).ljust(8, b"\0") for text in texts)
+    return np.frombuffer(data, dtype=np.uint64)
 
 
 def _scaled(m: np.ndarray, q: np.ndarray, k: np.ndarray):
@@ -189,25 +194,22 @@ def _decimal(v: np.ndarray, shortest: bool):
         # 10**j lies inside [y - half_ulp, y + half_ulp]; on its edge the
         # element is unsure, and whether the edge belongs (even m) is left
         # to Python.  j = 0 always does, as half_ulp > 0.55, and a j that
-        # does implies every smaller one, so each j is tried on the
-        # elements that passed j - 1.  No j past 2 is tried: half_ulp =
-        # y/(2m) < 2**-53 * 1e17 < 11.1, so a multiple of 10**j, j >= 3,
-        # inside the interval is also y's nearest multiple of 100, and
-        # gives the same digits.
+        # does implies every smaller one, so j counts, and its edge makes
+        # the element unsure, only where every smaller j did (``kept``).
+        # No j past 2 is tried: half_ulp = y/(2m) < 2**-53 * 1e17 < 11.1,
+        # so a multiple of 10**j, j >= 3, inside the interval is also y's
+        # nearest multiple of 100, and gives the same digits.
         step = np.ones_like(n)
         rem = np.zeros_like(n)
         unsure = np.zeros(v.shape, dtype=bool)
-        live = np.arange(v.size)
-        nl, fl, el = n, frac, half_ulp
+        kept = np.ones(v.shape, dtype=bool)
         for j in (1, 2):
-            r = nl % _POW10[j]
-            gap = np.minimum(r + fl, (_POW10[j] - r) - fl)
-            unsure[live[np.abs(gap - el) < _SLACK]] = True
-            kept = gap < el
-            live = live[kept]
-            step[live] = _POW10[j]
-            rem[live] = r[kept]
-            nl, fl, el = nl[kept], fl[kept], el[kept]
+            r = n % _POW10[j]
+            gap = np.minimum(r + frac, (_POW10[j] - r) - frac)
+            unsure |= kept & (np.abs(gap - half_ulp) < _SLACK)
+            kept &= gap < half_ulp
+            np.copyto(step, _POW10[j], where=kept)
+            np.copyto(rem, r, where=kept)
         below = rem + frac
         above = (step - rem) - frac
         unsure |= np.abs(below - above) < _SLACK
@@ -230,8 +232,14 @@ def _decompose(values: np.ndarray, shortest: bool):
     python = (biased == 0x7FF) | ((biased == 0) & (mantissa != 0))
     if shortest:
         python |= (mantissa == 0) & (biased != 0)
-    regular = np.flatnonzero(~python & (biased != 0))
+    regular = ~python & (biased != 0)
     del biased, mantissa
+    if regular.all():
+        # The usual column, every value one the kernel writes: no gather
+        # and no scatter.
+        d, exponent, python = _decimal(v, shortest)
+        return v, d, exponent.astype(np.int16), python
+    regular = np.flatnonzero(regular)
     digits, exponent, unsure = _decimal(v[regular], shortest)
     d = np.zeros(v.size, dtype=np.int64)
     x = np.zeros(v.size, dtype=np.int16)
@@ -254,6 +262,15 @@ def _write_floats(cell: np.ndarray, decomposed, shortest: bool) -> None:
     # the integer part and repr's ".0".
     need = np.where(fixed & (x >= 0), whole + shortest, 1)
     *_, quads, heads, exponents = _tables()
+    # The exponent and head texts, one 8-byte store each: the exponent's
+    # word reaches back over the last three digit slots and the head's
+    # over the first two, and the digits, written after them, fill those.
+    cell[:, _FIELD - 8 :].view(np.uint64)[:, 0] = np.take(
+        exponents, np.where(fixed, len(exponents) - 1, x - _EXP_MIN)
+    )
+    cell[:, :8].view(np.uint64)[:, 0] = np.take(
+        heads, np.where(fixed & (x < 0), -x, 0) + 5 * np.signbit(v)
+    )
     digits = cell[:, _HEAD : _HEAD + _DIGITS + 1]
     rest = d
     trailing = np.ones(v.size, dtype=bool)
@@ -285,12 +302,6 @@ def _write_floats(cell: np.ndarray, decomposed, shortest: bool) -> None:
         moved[cols == w] = np.where((w < _DIGITS) & (fraction != 0), ord("."), 0)[:, 0]
         sub[:, 1:] = moved
         digits[rows] = sub
-    cell[:, :_HEAD] = np.take(
-        heads, np.where(fixed & (x < 0), -x, 0) + 5 * np.signbit(v), axis=0
-    )
-    cell[:, _FIELD - _EXPONENT :] = np.take(
-        exponents, np.where(fixed, len(exponents) - 1, x - _EXP_MIN), axis=0
-    )
     for i in np.flatnonzero(python).tolist():
         value = float(v[i])
         text = (json.dumps(value) if shortest else "%.17g" % value).encode()

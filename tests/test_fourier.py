@@ -305,33 +305,34 @@ def test_evolve_fourier_matches_flushed_lattice_at_depth(params, coin, variant):
 
 
 
-def test_node_count_is_a_multiple_of_four_above_two_t_plus_three():
+def test_node_count_is_a_multiple_of_eight_above_two_t_plus_three():
     for t in list(range(1, 3000)) + [99_999, 100_000, 10**6, MAX_STEPS]:
         m_count = _node_count(t)
-        assert m_count % 4 == 0 and m_count >= 2 * t + 3
+        assert m_count % 8 == 0 and m_count >= 2 * t + 3
     # next_fast_len, not the next power of two (262144 nodes)
-    assert _node_count(100_000) == 202_500
+    assert _node_count(100_000) == 204_800
 
 
 def test_node_count_follows_scipy_next_fast_len():
     """The numpy-only 5-smooth search picks the node count scipy would."""
     for t in list(range(1, 5000)) + [100_000, 10**6, MAX_STEPS]:
-        quarter = -(-(2 * t + 3) // 4)
-        assert _node_count(t) == 4 * next_fast_len(quarter, real=True), t
+        eighth = -(-(2 * t + 3) // 8)
+        assert _node_count(t) == 8 * next_fast_len(eighth, real=True), t
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 37, 1100, 100_000])
+@pytest.mark.parametrize("t", [1, 2, 3, 9, 37, 100, 1100, 100_000])
 def test_split_dct1_matches_scipy(t):
     """The split DCT-I is scipy's type-I DCT to a few ulp of each row's scale.
 
-    t = 1 and 2 give the least node count, M = 8; L = M/4 is odd at
-    t = 3 and 1e5 and even at 37 and 1100.
+    t = 1 and 2 give the least node count, M = 8, t = 3 gives 16 and
+    t = 9 gives 24; the second split's length L/2 = M/8 is odd at t = 1,
+    9 and 100 and even at 3, 37, 1100 and 1e5.
     """
     m_count = _node_count(t)
     rows = np.random.default_rng(t).normal(size=(2, m_count // 2 + 1))
     nodes = _node_table(m_count, np.empty((2, m_count // 2 + 1)))
     got = rows.copy()
-    assert _split_dct1(got, nodes, np.empty(3 * m_count // 2 + 4)) is got
+    assert _split_dct1(got, nodes, np.empty(m_count + 4)) is got
     ref = dct(rows, type=1)
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all(np.abs(got - ref) <= 4 * np.finfo(np.float64).eps * scale)
@@ -565,7 +566,7 @@ def _long_double_amplitudes(coin, params, t, variant):
 def test_evolve_fourier_matches_long_double_at_depth(params, coin, variant, t, bound):
     """Every amplitude within the bound of the same formula in long double.
 
-    Measured: at most 2.1e-14 at t = 3000 and 1.6e-13 at t = 1e5, the
+    Measured: at most 2.1e-14 at t = 3000 and 1.1e-13 at t = 1e5, the
     largest at (0.3, 2.9) swap-free.  Direct node calls and the real FFT
     of the full even extension were off by up to 1.2e-13 and 1.3e-12.
     """
@@ -576,8 +577,8 @@ def test_evolve_fourier_matches_long_double_at_depth(params, coin, variant, t, b
 
 @pytest.mark.parametrize("t", [1, 3, 37, 1100, 100_000])
 def test_node_table_matches_long_double(t):
-    """Each cos and sin of the table within 2e-16 of long double (1.6e-16
-    measured at t = 1e5; direct calls on the rounded angles give 5.6e-16)."""
+    """Each cos and sin of the table within 2e-16 of long double (1.3e-16
+    measured at t = 1e5; direct calls on the rounded angles give 3.8e-16)."""
     m_count = _node_count(t)
     got = _node_table(m_count, np.empty((2, m_count // 2 + 1)))
     theta = (
