@@ -21,18 +21,20 @@ Conventions used throughout:
   ``sigma = 1j`` and ``cos(delta) = s(k)``.  Since ``S(k) v`` has only
   the harmonics ``1, exp(-1j*k), exp(1j*k)``, the state is a fixed
   combination of the Fourier coefficients of ``U_t`` and ``U_(t-1)``
-  at neighbouring sites.  Those are even trigonometric polynomials of
-  degree < t, so a type-I DCT over ``M >= 2*t + 3`` equispaced nodes
-  gives them exactly, and the result matches lattice evolution to
-  rounding.  The DCT is split twice: inverse real FFTs of lengths
-  ``M/4`` and ``M/8`` give the odd coefficients and those of the form
-  ``4i + 2``, and a real FFT of length ``M/4`` the multiples of 4.  The
-  nodes' cosines and sines, which are also its twiddles, come from one
-  eighth of a period.  Sites ``x`` and ``-x`` read
-  the same four coefficients, so one basis over ``|x| <= t`` serves
-  both halves, and the site phase ``exp(1j*nu*x)`` with its powers of
-  ``1j`` is an outer product of about ``sqrt(t)`` block phases and as
-  many in-block ones, each taken without rounding ``nu*x``.
+  at neighbouring sites, and its weights are what one lattice step
+  writes from the coin at the origin to sites 0, +1 and -1.  The
+  coefficients are those of even trigonometric polynomials of degree
+  < t, so a type-I DCT over ``M >= 2*t + 3`` equispaced nodes gives them
+  exactly, and the result matches lattice evolution to rounding.  The
+  DCT is split twice: inverse real FFTs of lengths ``M/4`` and ``M/8``
+  give the odd coefficients and those of the form ``4i + 2``, and a real
+  FFT of length ``M/4`` the multiples of 4.  The nodes' cosines and
+  sines, which are also its twiddles, come from one eighth of a period.
+  Sites ``x`` and ``-x`` read the same four coefficients, so one basis
+  over ``|x| <= t`` serves both halves, and the site phase
+  ``exp(1j*nu*x)`` with its powers of ``1j`` is an outer product of
+  about ``sqrt(t)`` block phases and as many in-block ones, each taken
+  without rounding ``nu*x``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import math
 import numpy as np
 
 from .walk import VARIANTS, CoinSpinor, WalkParams, WaveState, initial_state
+from .walk import step_cmv_only, step_full
 from .walk import _count, _variant
 
 __all__ = [
@@ -333,6 +336,25 @@ def _split_dct1(rows: np.ndarray, nodes: np.ndarray, scratch: np.ndarray) -> np.
     return rows
 
 
+def _site_weights(coin: CoinSpinor, params: WalkParams, full_walk: bool) -> np.ndarray:
+    """The ``(4, 2)`` weights of ``U_t`` at ``x``, ``x - 1`` and ``x + 1``
+    and of ``U_(t-1)`` at ``x`` in the amplitudes at site ``x``.
+
+    The first three are the symbol's harmonics on the coin: what one
+    lattice step writes from the coin at the origin to sites 0, +1 and
+    -1.  The full walk's are taken relative to its site phase
+    ``exp(1j*nu*x) * 1j**(x + t - 1)``, with ``sigma = 1j``.
+    """
+    step = step_full if full_walk else step_cmv_only
+    h = step(initial_state(coin), params).amps
+    if not full_walk:
+        return np.array([h[1], h[2], h[0], -coin.as_array()])
+    eiv = cmath.exp(1j * params.nu)
+    return np.array(
+        [h[1], -1j * eiv.conjugate() * h[2], 1j * eiv * h[0], -1j * coin.as_array()]
+    )
+
+
 def evolve_fourier(
     coin: CoinSpinor, params: WalkParams, t: int, variant: str = VARIANTS[0]
 ) -> WaveState:
@@ -347,7 +369,8 @@ def evolve_fourier(
     with small prime factors), computed by :func:`_split_dct1` from
     real FFTs of lengths ``M/4`` and ``M/8`` on the
     :func:`_node_table`; each site then combines them with the three
-    harmonics of ``A v``.  At t = 1e5 this takes about 11 ms and
+    harmonics of ``A v``, read off one lattice step of the coin at the
+    origin (:func:`_site_weights`).  At t = 1e5 this takes about 11 ms and
     allocates at most 7.3 MB in all, 6.6 MB of which is one block of
     ``4M + 4`` floats whose first ``8t + 4`` are the amplitudes; every
     other array is a piece of at most 16384 rows (full walk, one thread
@@ -402,44 +425,7 @@ def evolve_fourier(
     coef = block[: m_count + 2].reshape(2, half_m + 1)
     nodes = block[m_count + 2 : 2 * m_count + 4].reshape(2, half_m + 1)
     _node_table(m_count, out=nodes)
-    phi = coin.as_array()
-    half = cmath.exp(0.5j * params.nu)
-    rr0 = params.rho * params.rho0
-    rho2, rho02 = params.rho**2, params.rho0**2
-
-    if full_walk:
-        v0, v1 = half * phi[0], half.conjugate() * phi[1]
-        eiv = cmath.exp(1j * params.nu)
-        # A is the shifted symbol [[-c, d], [conj(d), conj(c)]] with
-        # c = rr0 (exp(1j*nu) + e), d = -rho**2 exp(1j*nu) + rho0**2 e and
-        # e = exp(-1j*k).  Rows: A v = f + g e + h conj(e), for U_t at site
-        # x, at x - 1 (g) and x + 1 (h), then -v for U_(t-1) at x.  The
-        # neighbours' 1j**(x -/+ 1) and sigma's powers are taken relative
-        # to the common phase 1j**(x + t - 1), applied per site below.
-        weights = np.array(
-            [
-                [
-                    -eiv * (rr0 * v0 + rho2 * v1),
-                    eiv.conjugate() * (rr0 * v1 - rho2 * v0),
-                ],
-                [-1j * (rho02 * v1 - rr0 * v0), 0.0],
-                [0.0, 1j * (rho02 * v0 + rr0 * v1)],
-                [-1j * v0, -1j * v1],
-            ]
-        ) * np.array([half.conjugate(), half])
-    else:
-        # The swap-free multiplier is R(nu/2) G(k) R(-nu/2) with
-        # G = [[rho0**2 e - rho**2, -rr0 (e + 1)],
-        #      [rr0 (conj(e) + 1), rho0**2 conj(e) - rho**2]], e = exp(-1j*k).
-        v0, v1 = half.conjugate() * phi[0], half * phi[1]
-        weights = np.array(
-            [
-                [-rho2 * v0 - rr0 * v1, rr0 * v0 - rho2 * v1],
-                [rho02 * v0 - rr0 * v1, 0.0],
-                [0.0, rr0 * v0 + rho02 * v1],
-                [-v0, -v1],
-            ]
-        ) * np.array([half, half.conjugate()])
+    weights = _site_weights(coin, params, full_walk)
 
     for lo in range(0, half_m + 1, _PIECE):
         cos_th, sin_th = nodes[:, lo : lo + _PIECE]

@@ -724,6 +724,9 @@ def test_bad_grid_exits_2(tmp_path, capsys):
     assert run_cli(
         "sweep", "--grid", "0.2,0.8,3,0,pi", "--out", tmp_path / "x"
     ) == 2
+    # nu bounds reversed, and one step on an axis.
+    for grid in ("0.2,0.8,3,pi,0,5", "0.2,0.8,1,0,pi,5"):
+        assert run_cli("sweep", "--grid", grid, "--out", tmp_path / "x") == 2
     # More points than simulate's rows at MAX_STEPS, refused before the
     # grid is built; never run a grid near that limit.
     assert run_cli(

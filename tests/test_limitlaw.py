@@ -352,6 +352,8 @@ def test_momentum_branch_rejects_edge_and_beyond():
             momentum_branch(bad, params, 1)
         with pytest.raises(OutOfSupportError):
             momentum_branch_derivative(bad, params, -1)
+    with pytest.raises(ValueError, match="sign must be"):
+        momentum_branch(0.1 * hstar, params, 0)
 
 
 # ------------------------------------------------------------------ laws
