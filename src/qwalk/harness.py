@@ -10,6 +10,7 @@ that can be overlaid on a simulated distribution.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,12 @@ def kolmogorov_distance(dist: Distribution, t: int, law: LimitLaw) -> float:
         np.cumsum(gap, out=gap)
         mass = gap[-1]
         x_lo = dist.x_min + lo
-        gap -= np.interp(np.arange(x_lo, x_lo + len(gap)) / t, xs_grid, cdf_grid)
+        # x/t rises with x: sites off the table take its end values, as in np.interp.
+        sites = range(x_lo, x_lo + len(gap))
+        a, b = (bisect_left(sites, v, key=lambda x: x / t) for v in xs_grid[[0, -1]])
+        gap[:a] -= cdf_grid[0]
+        gap[a:b] -= np.interp(np.arange(x_lo + a, x_lo + b) / t, xs_grid, cdf_grid)
+        gap[b:] -= cdf_grid[-1]
         above = max(above, gap.max())
         gap -= probs
         below = min(below, gap.min())

@@ -33,19 +33,20 @@ product, sums of nonnegative terms, so it keeps them next to the special
 set too, where one radicand vanishes.  :meth:`LimitLaw.density` divides
 it by the chord, and cdf/moment quadrature substitutes ``x = h*
 sin(theta)``, where the chord is ``h* cos(theta)`` and the integrand is
-the edge form itself.  One composite Gauss-Legendre rule per law, 64
-equal theta-panels of 16 nodes, integrates it; equal panels keep the
-error local where the integrand varies fast, next to the special
-parameter set.  The law's one CDF is the antiderivative of each panel's
-interpolant through the rule.
+the edge form itself.  One composite Gauss-Legendre rule, 64 equal
+theta-panels of 16 nodes, integrates it for every law, built once at
+import as read-only arrays; equal panels keep the error local next to
+the special set, where the integrand varies fast.  The law's one CDF is
+the antiderivative of each panel's interpolant through the rule.
 
 The spectral route integrates over momentum instead: each symbol branch
 moves with its group velocity and weighs the squared overlap of its
 eigenvector with the coin, a closed form in ``k`` (Grimmett, Janson and
 Scudo, PRE 69, 026119, 2004).  It uses the same 16-point rule on panels
 that halve towards ``k = -/+pi/2``, a panel edge, where the symbol's gap
-comes closest to closing; the panels reach as deep as the gap is narrow,
-so the route stays accurate at and next to the special set.
+comes closest to closing, as deep as the gap is narrow, so the route
+stays accurate at and next to the special set.  Each of the at most 102
+such rules is built once and cached.
 """
 
 from __future__ import annotations
@@ -110,9 +111,12 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray):
 def _legendre_table(s: np.ndarray, top: int) -> np.ndarray:
     """Rows ``P_0(s) .. P_top(s)`` by recurrence, exactly ``(+-1)**n`` at ``+-1``."""
     table = np.empty((top + 1, s.size))
-    table[0], table[1] = 1.0, s
-    for n in range(1, top):
-        table[n + 1] = ((2 * n + 1) * s * table[n] - n * table[n - 1]) / (n + 1)
+    table[0] = 1.0
+    np.multiply.outer(np.arange(1, 2 * top, 2), s, out=table[1:])
+    for n, (p_prev, p_n, row) in enumerate(zip(table, table[1:], table[2:]), 1):
+        row *= p_n
+        row -= n * p_prev
+        row /= n + 1
     return table
 
 
@@ -128,7 +132,15 @@ def _left_shares(s: np.ndarray) -> np.ndarray:
     return 0.5 * (shares + (s + 1.0)[:, None])
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 _NODE_LEGENDRE = _legendre_table(_LEGENDRE_NODES, 15)[1:]
+_THETA, _THETA_WEIGHTS = _read_only(*_panel_rule(_PANEL_EDGES[:-1], _PANEL_EDGES[1:]))
+_THETA_SIN, _THETA_COS = _read_only(np.sin(_THETA), np.cos(_THETA))
 # The Kolmogorov table steps 128 times per panel, uniformly in theta.
 _TABLE_SHARES = _left_shares(np.arange(128) / 64.0 - 1.0)
 _TABLE_SINES = np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, _PANELS * 128 + 1))
@@ -313,11 +325,10 @@ class LimitLaw:
 
     @cached_property
     def _weighted_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes ``x`` of the composite rule, integrand times weight there,
+        """Nodes ``x`` of the module's theta-rule, integrand times weight there,
         each ``(64, 16)``, and the CDF at the 65 panel edges."""
-        theta, weights = _panel_rule(_PANEL_EDGES[:-1], _PANEL_EDGES[1:])
-        xs = self.support_hi * np.sin(theta)
-        weights *= self._edge_form(xs, self.support_hi * np.cos(theta))
+        xs = self.support_hi * _THETA_SIN
+        weights = _THETA_WEIGHTS * self._edge_form(xs, self.support_hi * _THETA_COS)
         return xs, weights, np.concatenate(([0.0], np.cumsum(weights.sum(axis=1))))
 
     @cached_property
@@ -358,8 +369,8 @@ class LimitLaw:
         powers by repeated multiplication, for ``r <= 2`` exactly ``xs**r``."""
         r = _count(r, "moment order")
         xs, weighted, _ = self._weighted_nodes
-        power = np.ones_like(xs)
-        for _ in range(r):
+        power = xs.copy() if r else np.ones_like(xs)
+        for _ in range(r - 1):
             power *= xs
         return float(np.dot(power.ravel(), weighted.ravel()))
 
@@ -473,10 +484,17 @@ def make_limit_law(
     return LimitLaw(kind=kind, params=params, support_hi=support_hi, coeff=coeff)
 
 
-# Each entry holds three arrays of at most 1664 nodes (39 KB): an r-sweep
-# over one (params, coin) pair reuses them, and a run over many pairs
-# stays bounded.
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=102)  # 2 centres, depths 1 to 51: 2 MB were all used
+def _momentum_rule(k_star: float, depth: int) -> tuple[np.ndarray, ...]:
+    """``cos k``, ``sin k`` and weight/(2 pi) of :func:`_panel_rule` on ``k* +/-
+    [pi 2**-(j+1), pi 2**-j]``, ``j < depth``, and ``k* +/- [0, pi 2**-depth]``."""
+    widths = math.pi * 0.5 ** np.arange(depth + 1)
+    edges = k_star + np.concatenate((-widths, [0.0], widths[::-1]))
+    k, weights = (arr.ravel() for arr in _panel_rule(edges[:-1], edges[1:]))
+    return _read_only(np.cos(k), np.sin(k), weights / (2.0 * np.pi))
+
+
+@lru_cache(maxsize=16)  # 39 KB at most each, reused by an r-sweep of one pair
 def _spectral_nodes(
     params: WalkParams, coin: CoinSpinor
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -488,21 +506,19 @@ def _spectral_nodes(
     sum and difference of ``|a0|**2`` and ``|a1|**2``, ``X + iY = a0
     conj(a1) exp(1j nu)`` and ``gap_sq`` of :func:`~qwalk.fourier._gap_parts`,
     ``lean = (-p b (cos k + cos nu)/2 + X (rho0**2 cos k - rho**2 cos nu)
-    - Y (rho0**2 sin k + rho**2 sin nu)) / sqrt(gap_sq)``.  The rule is
-    the composite Gauss-Legendre rule of :func:`_panel_rule` over one
-    period centred on ``k* = -/+ pi/2`` (the sign of ``sin nu``), where
-    ``|s(k)|`` peaks and the gap comes closest to closing.  Its panels
-    halve towards ``k*``, ``k* +/- [pi 2**-(j+1), pi 2**-j]`` for
-    ``j < J``, plus ``k* +/- [0, pi 2**-J]``: ``k*`` is a panel edge, so
-    each half of the integrand is smooth even where the gap closes there,
-    at the special parameter set.  Next to it the integrand's nearest
-    singularities are the branch points of ``1 - s(k)**2`` at ``k* +/-
-    i*eta`` with ``cosh(eta) = 1 + g/p``, ``g = 1 - p(1 + |sin nu|)``.
-    ``J = ceil(log2(4 pi/eta)) - 1`` (at least 1, at most 51, where a
-    panel is about 6 ulp of ``pi/2`` wide) makes the two centre panels at
-    most ``eta/2`` wide, and every other panel is as wide as its distance
-    from ``k*``.  The arrays are read-only, as they are shared between
-    calls.
+    - Y (rho0**2 sin k + rho**2 sin nu)) / sqrt(gap_sq)``.  The graded
+    rule, cached by :func:`_momentum_rule` as it depends on nothing else,
+    is centred on ``k* = -/+ pi/2`` (the sign of ``sin nu``), where
+    ``|s(k)|`` peaks and the gap comes closest to closing.  ``k*`` is a
+    panel edge, so each half of the integrand is smooth even where the
+    gap closes there, at the special parameter set.  Next to it the
+    integrand's nearest singularities are the branch points of ``1 -
+    s(k)**2`` at ``k* +/- i*eta`` with ``cosh(eta) = 1 + g/p``, ``g = 1 -
+    p(1 + |sin nu|)``.  Its depth ``J = ceil(log2(4 pi/eta)) - 1`` (at
+    least 1, at most 51, where a panel is about 6 ulp of ``pi/2`` wide)
+    makes the two centre panels at most ``eta/2`` wide, and every other
+    panel is as wide as its distance from ``k*``.  The arrays are
+    read-only, as they are shared between calls.
     """
     p, lo_sq, _ = _edge_squares(params)
     sin_nu = math.sin(params.nu)
@@ -514,13 +530,9 @@ def _spectral_nodes(
     # where the depth reaches its bounds, 51 and 1, so log2 sees neither.
     eta = min(max(eta, 4.0 * math.pi * 0.5**52), math.pi)
     depth = math.ceil(math.log2(4.0 * math.pi / eta)) - 1
-    widths = math.pi * 0.5 ** np.arange(depth + 1)
     k_star = -0.5 * math.pi if sin_nu >= 0.0 else 0.5 * math.pi
-    edges = k_star + np.concatenate((-widths, [0.0], widths[::-1]))
-    k, weights = _panel_rule(edges[:-1], edges[1:])
-    k, weights = k.ravel(), weights.ravel() / (2.0 * np.pi)
+    cos_k, sin_k, weights = _momentum_rule(k_star, depth)
     rr0 = params.rho * params.rho0
-    cos_k, sin_k = np.cos(k), np.sin(k)
     root = _gap_parts(cos_k, sin_k, params)[1]
     velocity = rr0 * cos_k / root
     a0_sq, a1_sq = abs(coin.a0) ** 2, abs(coin.a1) ** 2
@@ -531,10 +543,7 @@ def _spectral_nodes(
         - cross.imag * (params.rho0**2 * sin_k + params.rho**2 * sin_nu)
     ) / root
     half_n = 0.5 * (a0_sq + a1_sq)
-    weight_plus, weight_minus = (half_n + lean) * weights, (half_n - lean) * weights
-    for arr in (velocity, weight_plus, weight_minus):
-        arr.flags.writeable = False
-    return velocity, weight_plus, weight_minus
+    return _read_only(velocity, (half_n + lean) * weights, (half_n - lean) * weights)
 
 
 def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float:
@@ -549,8 +558,8 @@ def spectral_limit_moment(r: int, params: WalkParams, coin: CoinSpinor) -> float
     matches a 65536-node uniform trapezoid to 1e-15; at distance 1e-6
     from it 704 to 768 nodes, and at the set itself 1664, match
     :meth:`LimitLaw.moment` to 1e-15.  Independent of the density
-    quadrature route, which it cross-checks.  The node arrays are
-    computed once per ``(params, coin)`` and kept in a small cache.
+    quadrature route, which it cross-checks.  The node arrays are kept
+    per ``(params, coin)``, 16 at most, and the rule per centre and depth.
     """
     r = _count(r, "moment order")
     velocity, weight_plus, weight_minus = _spectral_nodes(params, coin)

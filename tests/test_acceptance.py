@@ -170,7 +170,10 @@ def test_criterion_03_eigensystem_fidelity(monkeypatch):
             for j in range(2):
                 residual = symbol @ vectors[:, j] - pair[j] * vectors[:, j]
                 worst_res = max(worst_res, float(np.linalg.norm(residual)))
+        # The momentum rule is cached per (k*, depth): cleared, it is rebuilt
+        # through the recording _panel_rule.
         rule_nodes.clear()
+        limitlaw._momentum_rule.cache_clear()
         _, weight_plus, weight_minus = limitlaw._spectral_nodes.__wrapped__(
             params, COIN_GEN
         )

@@ -149,6 +149,39 @@ def test_scans_in_pieces_equal_whole_window_scans(
     assert np.array_equal(report.approx, law.density(report.positions / t) / t)
 
 
+@pytest.mark.parametrize("t", [1, 2, 100, 2000, 16385])
+@pytest.mark.parametrize("params, coin, variant, law_kind, n", REGRESSION_GRID)
+def test_kolmogorov_distance_equals_a_full_interpolation_scan(
+    params, coin, variant, law_kind, n, t
+):
+    """Interpolating only over the sites inside the table, and giving the
+    others its end values, changes no bit against ``np.interp`` at every
+    site; rescaled by t/3 too, when most sites fall off the table."""
+    law = make_limit_law(law_kind, params, coin, n=n)
+    dist = distribution(evolve_fourier(coin, params, t, variant=variant))
+    for scale in {t, max(t // 3, 1)}:
+        assert kolmogorov_distance(dist, scale, law) == whole_kolmogorov_distance(
+            dist, scale, law
+        )
+
+
+@pytest.mark.parametrize("t", [64, _PIECE + 8])
+def test_kolmogorov_distance_with_table_ends_on_sites(t, monkeypatch):
+    """A table whose end nodes are sites, ``x/t = -/+ 5/8``, and whose end
+    values are neither 0 nor 1: the site on the first node is interpolated,
+    the one on the last takes the last value, and the scan still equals
+    the full interpolation bit for bit."""
+    law = make_limit_law("theorem1", PARAMS_CANONICAL, COIN_BAL)
+    dist = distribution(evolve_fourier(COIN_BAL, PARAMS_CANONICAL, t))
+    xs_grid, cdf_grid = law._cdf_table
+    xs = xs_grid * (0.625 / xs_grid[-1])
+    xs[0], xs[-1] = -0.625, 0.625
+    table = (xs, 0.01 + 0.98 * cdf_grid)
+    monkeypatch.setitem(law.__dict__, "_cdf_table", table)
+    assert (0.625 * t).is_integer()
+    assert kolmogorov_distance(dist, t, law) == whole_kolmogorov_distance(dist, t, law)
+
+
 def test_kolmogorov_distance_allocation_at_depth():
     """At t = 1e5 the scan and the moments r = 1, 2, 3 each allocate
     under 1 MB: their arrays are pieces, none as long as the window

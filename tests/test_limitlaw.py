@@ -42,11 +42,21 @@ from qwalk import (
     support_halfwidth,
     support_polynomial,
 )
+from qwalk.fourier import _gap_parts
 from qwalk.limitlaw import (
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
+    _PANEL_EDGES,
+    _THETA,
+    _THETA_COS,
+    _THETA_SIN,
+    _THETA_WEIGHTS,
     LimitLaw,
+    _coin_cross,
     _edge_squares,
+    _legendre_table,
+    _momentum_rule,
+    _panel_rule,
     _spectral_nodes,
 )
 
@@ -955,6 +965,137 @@ def test_spectral_node_cache_is_read_only_and_bounded():
             arr[0] = 0.0
     assert _spectral_nodes(WalkParams(0.6, 1.0), COIN_GEN)[0] is arrays[0]
     assert _spectral_nodes.cache_info().maxsize is not None
+
+
+# ------------------------------------ law-independent rules, bit for bit
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_theta_rule_constants_are_the_panel_rule_and_read_only():
+    """The module's theta-rule is ``_panel_rule`` on the 64 panels, with
+    numpy's sines and cosines of its nodes, and no law can write into it."""
+    theta, weights = _panel_rule(_PANEL_EDGES[:-1], _PANEL_EDGES[1:])
+    expected = (theta, weights, np.sin(theta), np.cos(theta))
+    for got, want in zip((_THETA, _THETA_WEIGHTS, _THETA_SIN, _THETA_COS), expected):
+        assert _same_bits(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("kind, params, coin, n", GRID_AND_SPECIAL_LAWS)
+def test_weighted_nodes_and_moments_equal_a_per_law_rule(kind, params, coin, n):
+    """A law's nodes, weighted values and panel CDF equal those of a
+    theta-rule built for it alone, and ``moment(r)`` the power that starts
+    from an array of ones, bit for bit."""
+    law = make_limit_law(kind, params, coin, n=n)
+    theta, weights = _panel_rule(_PANEL_EDGES[:-1], _PANEL_EDGES[1:])
+    xs = law.support_hi * np.sin(theta)
+    weights *= law._edge_form(xs, law.support_hi * np.cos(theta))
+    cum = np.concatenate(([0.0], np.cumsum(weights.sum(axis=1))))
+    for got, want in zip(law._weighted_nodes, (xs, weights, cum)):
+        assert _same_bits(got, want)
+    for r in range(7):
+        power = np.ones_like(xs)
+        for _ in range(r):
+            power *= xs
+        assert _same_bits(law.moment(r), np.dot(power.ravel(), weights.ravel()))
+
+
+def _inline_momentum_rule(k_star, depth):
+    """The graded momentum rule as ``_spectral_nodes`` built it inline."""
+    widths = math.pi * 0.5 ** np.arange(depth + 1)
+    edges = k_star + np.concatenate((-widths, [0.0], widths[::-1]))
+    k, weights = _panel_rule(edges[:-1], edges[1:])
+    k, weights = k.ravel(), weights.ravel() / (2.0 * np.pi)
+    return np.cos(k), np.sin(k), weights
+
+
+def _inline_spectral_nodes(params, coin):
+    """``_spectral_nodes`` as it was with its rule built on every call."""
+    p, lo_sq, _ = _edge_squares(params)
+    sin_nu = math.sin(params.nu)
+    a = abs(sin_nu)
+    g = lo_sq / (1.0 - p + p * a)
+    eta = 2.0 * math.asinh(math.sqrt(g / (2.0 * p)))
+    eta = min(max(eta, 4.0 * math.pi * 0.5**52), math.pi)
+    depth = math.ceil(math.log2(4.0 * math.pi / eta)) - 1
+    k_star = -0.5 * math.pi if sin_nu >= 0.0 else 0.5 * math.pi
+    cos_k, sin_k, weights = _inline_momentum_rule(k_star, depth)
+    rr0 = params.rho * params.rho0
+    root = _gap_parts(cos_k, sin_k, params)[1]
+    velocity = rr0 * cos_k / root
+    a0_sq, a1_sq = abs(coin.a0) ** 2, abs(coin.a1) ** 2
+    cross = _coin_cross(coin) * cmath.exp(1j * params.nu)
+    lean = (
+        -0.5 * rr0 * (a0_sq - a1_sq) * (cos_k + math.cos(params.nu))
+        + cross.real * (params.rho0**2 * cos_k - params.rho**2 * math.cos(params.nu))
+        - cross.imag * (params.rho0**2 * sin_k + params.rho**2 * sin_nu)
+    ) / root
+    half_n = 0.5 * (a0_sq + a1_sq)
+    return velocity, (half_n + lean) * weights, (half_n - lean) * weights
+
+
+@pytest.mark.parametrize("k_star", [-0.5 * math.pi, 0.5 * math.pi])
+def test_cached_momentum_rules_equal_the_inline_rule(k_star):
+    """On both sides and at every depth 1..51 the cached rule is the one
+    ``_spectral_nodes`` built inline, bit for bit, and read-only."""
+    for depth in range(1, 52):
+        rule = _momentum_rule(k_star, depth)
+        for got, want in zip(rule, _inline_momentum_rule(k_star, depth)):
+            assert _same_bits(got, want)
+            assert not got.flags.writeable
+        assert rule[0].size == 32 * (depth + 1)
+    assert _momentum_rule.cache_info().maxsize == 102
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        WalkParams(SQ2, math.pi / 2),
+        WalkParams(SQ2, -math.pi / 2),
+        WalkParams(SQ2 + 1e-6, math.pi / 2 - 1e-6),
+        WalkParams(SQ2 - 1e-6, -math.pi / 2 + 1e-6),
+        PARAMS_CANONICAL,
+        WalkParams(0.85, -1.3),
+        WalkParams(0.3, 0.7),
+        WalkParams(0.6, 0.0),
+        WalkParams(0.6, -0.0),
+    ],
+)
+def test_spectral_nodes_equal_the_inline_rule(params):
+    """At the special set, 1e-6 from it and away from it, on both signs of
+    ``sin nu``, the nodes from the cached rule equal those of a rule
+    built inline, bit for bit."""
+    for coin in (COIN_GEN, COIN_BAL, COIN_RIGHT):
+        got = _spectral_nodes.__wrapped__(params, coin)
+        for a, b in zip(got, _inline_spectral_nodes(params, coin)):
+            assert _same_bits(a, b)
+
+
+def _one_line_legendre(s, top):
+    """The Legendre rows, one expression a row, as the package had them."""
+    table = np.empty((top + 1, s.size))
+    table[0], table[1] = 1.0, s
+    for n in range(1, top):
+        table[n + 1] = ((2 * n + 1) * s * table[n] - n * table[n - 1]) / (n + 1)
+    return table
+
+
+def test_legendre_table_is_the_one_line_recurrence():
+    """The in-place recurrence gives the one-line recurrence's rows bit for
+    bit on random points, and exactly ``(+-1)**n`` at ``s = +-1``."""
+    rng = np.random.default_rng(20261022)
+    for s in (rng.uniform(-1.0, 1.0, 257), _LEGENDRE_NODES, np.array([0.0, -0.0])):
+        for top in (1, 2, 15, 16):
+            assert _same_bits(_legendre_table(s, top), _one_line_legendre(s, top))
+    ends = _legendre_table(np.array([-1.0, 1.0]), 16)
+    assert _same_bits(ends[:, 0], (-1.0) ** np.arange(17))
+    assert _same_bits(ends[:, 1], np.ones(17))
 
 
 def test_legendre_literals_are_scipys_rule():
